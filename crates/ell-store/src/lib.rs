@@ -23,6 +23,11 @@
 //! batch by shard, drains all hot-key inserts under one read lock per
 //! shard, and only then takes the write lock for the remainder.
 //!
+//! [`EllStore`] and [`WindowedStore`] share one crate-private sharded
+//! core (the `shard` module): key router, shard maps, handoff queues,
+//! flush/drain protocol and memory walk. They differ only in what a slot
+//! holds and how a buffered delta merges into it.
+//!
 //! # Parallel ingest sessions
 //!
 //! For sustained multi-threaded ingest, [`EllStore::session`] (and
@@ -30,8 +35,10 @@
 //! thread accumulates hashes into thread-local delta sketches and hands
 //! them to per-shard queues that drain into the slots under one write
 //! lock per flush — the hot insert loop touches no shared state at all.
-//! See the [`session`](crate::IngestSession) module docs for the flush
-//! protocol and the exactness argument.
+//! Both session types share one buffer-and-flush implementation, and
+//! the handoff protocol they drive is model-checked through both stores
+//! by `ell-verify`. See the [`session`](crate::IngestSession) module
+//! docs for the flush protocol and the exactness argument.
 //!
 //! Because every per-key structure is monotone (token sets union,
 //! registers only grow, promotion is threshold-crossing), the final
@@ -87,7 +94,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod frame;
 mod session;
+mod shard;
 mod store;
 mod sync;
 mod tiers;

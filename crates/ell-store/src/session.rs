@@ -57,6 +57,7 @@
 //! assert!((store.estimate("events").unwrap() / 40_000.0 - 1.0).abs() < 0.1);
 //! ```
 
+use crate::shard::{ShardSlot, Sharded};
 use crate::store::EllStore;
 use crate::window::WindowedStore;
 use exaloglog::adaptive::AdaptiveExaLogLog;
@@ -67,6 +68,182 @@ use std::collections::HashMap;
 /// session's memory (deltas below break-even are a few tokens each).
 pub(crate) const DEFAULT_AUTO_FLUSH: usize = 32 * 1024;
 
+/// What a session needs from its store: the sharded core its deltas
+/// route through, fresh delta sketches, and the merge context.
+pub(crate) trait SessionStore {
+    type Slot: ShardSlot;
+
+    fn core(&self) -> &Sharded<Self::Slot>;
+
+    /// An empty delta sketch compatible with the store's slots.
+    fn new_delta(&self) -> AdaptiveExaLogLog;
+
+    /// Runs `f` with the context deltas merge under (the window store
+    /// pins its epoch for the duration).
+    fn pinned<R>(&self, f: impl FnOnce(&<Self::Slot as ShardSlot>::Ctx<'_>) -> R) -> R;
+}
+
+type Tag<S> = <<S as SessionStore>::Slot as ShardSlot>::Tag;
+
+/// One key's buffered deltas: a single sketch for the flat store, one
+/// sketch per epoch for the window store.
+pub(crate) trait DeltaEntry<T>: Sized {
+    /// A new key's entry, holding its first delta.
+    fn first(tag: T, delta: AdaptiveExaLogLog) -> Self;
+
+    /// Buffers one hash under `tag`, taking a delta from `fresh` if the
+    /// entry has none for that tag.
+    fn insert(&mut self, tag: T, hash: u64, fresh: impl FnOnce() -> AdaptiveExaLogLog);
+
+    /// The deltas holding data, with their tags.
+    fn nonempty(&mut self) -> impl Iterator<Item = (T, &mut AdaptiveExaLogLog)>;
+
+    /// After a flush, returns the flushed (now empty) sketches of every
+    /// entry to `spare`.
+    fn recycle(deltas: &mut HashMap<String, (usize, Self)>, spare: &mut Vec<AdaptiveExaLogLog>);
+}
+
+impl DeltaEntry<()> for AdaptiveExaLogLog {
+    fn first((): (), delta: AdaptiveExaLogLog) -> Self {
+        delta
+    }
+
+    fn insert(&mut self, (): (), hash: u64, _: impl FnOnce() -> AdaptiveExaLogLog) {
+        self.insert_hash(hash);
+    }
+
+    fn nonempty(&mut self) -> impl Iterator<Item = ((), &mut AdaptiveExaLogLog)> {
+        (!self.is_empty()).then_some(((), self)).into_iter()
+    }
+
+    /// The store reset each delta in place; it stays with its key.
+    fn recycle(_: &mut HashMap<String, (usize, Self)>, _: &mut Vec<AdaptiveExaLogLog>) {}
+}
+
+/// A session rarely touches more than a couple of epochs per key, so a
+/// small vec beats a nested map.
+impl DeltaEntry<u64> for Vec<(u64, AdaptiveExaLogLog)> {
+    fn first(epoch: u64, delta: AdaptiveExaLogLog) -> Self {
+        vec![(epoch, delta)]
+    }
+
+    fn insert(&mut self, epoch: u64, hash: u64, fresh: impl FnOnce() -> AdaptiveExaLogLog) {
+        match self.iter_mut().find(|(e, _)| *e == epoch) {
+            Some((_, delta)) => {
+                delta.insert_hash(hash);
+            }
+            None => {
+                let mut delta = fresh();
+                delta.insert_hash(hash);
+                self.push((epoch, delta));
+            }
+        }
+    }
+
+    fn nonempty(&mut self) -> impl Iterator<Item = (u64, &mut AdaptiveExaLogLog)> {
+        self.iter_mut()
+            .filter(|(_, delta)| !delta.is_empty())
+            .map(|(epoch, delta)| (*epoch, delta))
+    }
+
+    /// Every per-epoch sketch goes back to the pool (the store reset the
+    /// flushed ones; stragglers are already empty); the key survives.
+    fn recycle(deltas: &mut HashMap<String, (usize, Self)>, spare: &mut Vec<AdaptiveExaLogLog>) {
+        for (_, entry) in deltas.values_mut() {
+            for (_, mut delta) in entry.drain(..) {
+                delta.reset();
+                spare.push(delta);
+            }
+        }
+    }
+}
+
+/// The buffer-and-flush machinery both session types share.
+#[derive(Debug)]
+struct Buffer<'a, S: SessionStore, E: DeltaEntry<Tag<S>>> {
+    store: &'a S,
+    /// Per-key deltas with the key's shard index cached. Entries stay
+    /// allocated (reset, not dropped) across flushes; the buffer's
+    /// footprint is bounded by the session's distinct-key working set.
+    deltas: HashMap<String, (usize, E)>,
+    /// Reset delta sketches recycled across flushes: the next tag a key
+    /// touches pops one instead of allocating.
+    spare: Vec<AdaptiveExaLogLog>,
+    buffered: usize,
+    auto_flush: usize,
+}
+
+impl<'a, S: SessionStore, E: DeltaEntry<Tag<S>>> Buffer<'a, S, E> {
+    fn new(store: &'a S) -> Self {
+        Buffer {
+            store,
+            deltas: HashMap::new(),
+            spare: Vec::new(),
+            buffered: 0,
+            auto_flush: DEFAULT_AUTO_FLUSH,
+        }
+    }
+
+    fn set_auto_flush(&mut self, hashes: usize) {
+        self.auto_flush = hashes.max(1);
+    }
+
+    /// Buffers one observation: one map lookup for a known key.
+    fn insert(&mut self, key: &str, tag: Tag<S>, hash: u64) {
+        let store = self.store;
+        let spare = &mut self.spare;
+        let mut fresh = || spare.pop().unwrap_or_else(|| store.new_delta());
+        match self.deltas.get_mut(key) {
+            Some((_, entry)) => entry.insert(tag, hash, fresh),
+            None => {
+                let mut delta = fresh();
+                delta.insert_hash(hash);
+                let si = store.core().shard_of(key);
+                self.deltas
+                    .insert(key.to_owned(), (si, E::first(tag, delta)));
+            }
+        }
+        self.buffered += 1;
+        if self.buffered >= self.auto_flush {
+            self.flush(false);
+        }
+    }
+
+    /// Flushes every nonempty delta, grouped by shard, by reference; a
+    /// barrier flush then drains every handoff queue, so on return
+    /// everything this session ever buffered is visible to queries.
+    fn flush(&mut self, barrier: bool) {
+        self.buffered = 0;
+        let core = self.store.core();
+        let mut groups: Vec<Vec<(&String, Tag<S>, &mut AdaptiveExaLogLog)>> = Vec::new();
+        groups.resize_with(core.shard_count(), Vec::new);
+        // Deltas reset by earlier flushes and not touched since stay
+        // empty — skip them instead of paying a no-op merge.
+        for (key, (si, entry)) in self.deltas.iter_mut() {
+            for (tag, delta) in entry.nonempty() {
+                groups[*si].push((key, tag, delta));
+            }
+        }
+        self.store.pinned(|ctx| {
+            for (si, mut group) in groups.into_iter().enumerate() {
+                if !group.is_empty() {
+                    core.flush_group_ref(si, &mut group, barrier, ctx);
+                }
+            }
+            if barrier {
+                core.drain_all_pending(ctx);
+            }
+        });
+        E::recycle(&mut self.deltas, &mut self.spare);
+    }
+}
+
+impl<S: SessionStore, E: DeltaEntry<Tag<S>>> Drop for Buffer<'_, S, E> {
+    fn drop(&mut self) {
+        self.flush(true);
+    }
+}
+
 /// A buffered ingest session for [`EllStore`] (see the module docs).
 ///
 /// Not `Sync` — a session belongs to one ingesting thread; the *store*
@@ -74,22 +251,13 @@ pub(crate) const DEFAULT_AUTO_FLUSH: usize = 32 * 1024;
 /// [`IngestSession::flush`] or drop.
 #[derive(Debug)]
 pub struct IngestSession<'a> {
-    store: &'a EllStore,
-    /// Per-key deltas with the key's shard index cached. Entries stay
-    /// allocated (reset, not dropped) across flushes; the buffer's
-    /// footprint is bounded by the session's distinct-key working set.
-    deltas: HashMap<String, (usize, AdaptiveExaLogLog)>,
-    buffered: usize,
-    auto_flush: usize,
+    buf: Buffer<'a, EllStore, AdaptiveExaLogLog>,
 }
 
 impl<'a> IngestSession<'a> {
     pub(crate) fn new(store: &'a EllStore) -> Self {
         IngestSession {
-            store,
-            deltas: HashMap::new(),
-            buffered: 0,
-            auto_flush: DEFAULT_AUTO_FLUSH,
+            buf: Buffer::new(store),
         }
     }
 
@@ -99,39 +267,25 @@ impl<'a> IngestSession<'a> {
     /// better. The final state is identical either way.
     #[must_use]
     pub fn with_auto_flush(mut self, hashes: usize) -> Self {
-        self.auto_flush = hashes.max(1);
+        self.buf.set_auto_flush(hashes);
         self
     }
 
     /// The number of hashes buffered since the last flush.
     #[must_use]
     pub fn buffered_hashes(&self) -> usize {
-        self.buffered
+        self.buf.buffered
     }
 
     /// Buffers one `(key, element-hash)` observation.
     pub fn insert(&mut self, key: &str, hash: u64) {
-        match self.deltas.get_mut(key) {
-            Some((_, delta)) => {
-                delta.insert_hash(hash);
-            }
-            None => {
-                let si = self.store.shard_of(key);
-                let mut delta = self.store.new_adaptive();
-                delta.insert_hash(hash);
-                self.deltas.insert(key.to_owned(), (si, delta));
-            }
-        }
-        self.buffered += 1;
-        if self.buffered >= self.auto_flush {
-            self.flush_with(false);
-        }
+        self.buf.insert(key, (), hash);
     }
 
     /// Buffers a batch of observations.
     pub fn ingest(&mut self, batch: &[(&str, u64)]) {
         for &(key, hash) in batch {
-            self.insert(key, hash);
+            self.buf.insert(key, (), hash);
         }
     }
 
@@ -139,35 +293,7 @@ impl<'a> IngestSession<'a> {
     /// queues (a barrier): on return, everything this session ever
     /// buffered is merged into the slots and visible to queries.
     pub fn flush(&mut self) {
-        self.flush_with(true);
-    }
-
-    fn flush_with(&mut self, barrier: bool) {
-        self.buffered = 0;
-        let store = self.store;
-        let mut groups: Vec<Vec<(&String, &mut AdaptiveExaLogLog)>> = Vec::new();
-        groups.resize_with(store.shard_count(), Vec::new);
-        // Deltas reset by earlier flushes and not touched since stay
-        // empty — skip them instead of paying a no-op merge.
-        for (key, (si, delta)) in self.deltas.iter_mut() {
-            if !delta.is_empty() {
-                groups[*si].push((key, delta));
-            }
-        }
-        for (si, mut group) in groups.into_iter().enumerate() {
-            if !group.is_empty() {
-                store.flush_group_ref(si, &mut group, barrier);
-            }
-        }
-        if barrier {
-            store.drain_all_pending();
-        }
-    }
-}
-
-impl Drop for IngestSession<'_> {
-    fn drop(&mut self) {
-        self.flush_with(true);
+        self.buf.flush(true);
     }
 }
 
@@ -192,17 +318,7 @@ impl Drop for IngestSession<'_> {
 /// the next query hits the suffix cache or rebuilds it.
 #[derive(Debug)]
 pub struct WindowIngestSession<'a> {
-    store: &'a WindowedStore,
-    /// Per-key, per-epoch deltas (shard index cached per key). A
-    /// session rarely touches more than a couple of epochs per key, so
-    /// a small vec beats a nested map.
-    deltas: HashMap<String, (usize, Vec<(u64, AdaptiveExaLogLog)>)>,
-    /// Reset delta sketches recycled across flushes: a flushed
-    /// `(epoch, delta)` entry returns its sketch here, and the next
-    /// epoch the key touches pops one instead of allocating.
-    spare: Vec<AdaptiveExaLogLog>,
-    buffered: usize,
-    auto_flush: usize,
+    buf: Buffer<'a, WindowedStore, Vec<(u64, AdaptiveExaLogLog)>>,
     /// Highest epoch this session has advanced the store to; gates the
     /// (write-locking) `advance` call so the hot path takes no lock.
     advanced_to: u64,
@@ -211,11 +327,7 @@ pub struct WindowIngestSession<'a> {
 impl<'a> WindowIngestSession<'a> {
     pub(crate) fn new(store: &'a WindowedStore) -> Self {
         WindowIngestSession {
-            store,
-            deltas: HashMap::new(),
-            spare: Vec::new(),
-            buffered: 0,
-            auto_flush: DEFAULT_AUTO_FLUSH,
+            buf: Buffer::new(store),
             advanced_to: store.current_epoch(),
         }
     }
@@ -224,104 +336,46 @@ impl<'a> WindowIngestSession<'a> {
     /// (clamped to ≥ 1); see [`IngestSession::with_auto_flush`].
     #[must_use]
     pub fn with_auto_flush(mut self, hashes: usize) -> Self {
-        self.auto_flush = hashes.max(1);
+        self.buf.set_auto_flush(hashes);
         self
     }
 
     /// The number of hashes buffered since the last flush.
     #[must_use]
     pub fn buffered_hashes(&self) -> usize {
-        self.buffered
+        self.buf.buffered
+    }
+
+    /// Advances the store to `epoch` if this session has not yet.
+    fn advance_to(&mut self, epoch: u64) {
+        if epoch > self.advanced_to {
+            self.buf.store.advance(epoch);
+            self.advanced_to = epoch;
+        }
     }
 
     /// Buffers one `(key, element-hash)` observation for `epoch`,
     /// advancing the window first when `epoch` is newer than anything
     /// the store has seen.
     pub fn insert(&mut self, key: &str, epoch: u64, hash: u64) {
-        if epoch > self.advanced_to {
-            self.store.advance(epoch);
-            self.advanced_to = epoch;
-        }
-        if !self.deltas.contains_key(key) {
-            let si = self.store.shard_of(key);
-            self.deltas.insert(key.to_owned(), (si, Vec::new()));
-        }
-        let (_, entries) = self.deltas.get_mut(key).expect("present: just ensured");
-        match entries.iter_mut().find(|(e, _)| *e == epoch) {
-            Some((_, delta)) => {
-                delta.insert_hash(hash);
-            }
-            None => {
-                let mut delta = self.spare.pop().unwrap_or_else(|| self.store.new_delta());
-                delta.insert_hash(hash);
-                entries.push((epoch, delta));
-            }
-        }
-        self.buffered += 1;
-        if self.buffered >= self.auto_flush {
-            self.flush_with(false);
-        }
+        self.advance_to(epoch);
+        self.buf.insert(key, epoch, hash);
     }
 
     /// Buffers a batch of observations belonging to `epoch`. An empty
     /// batch still advances the window (mirroring
     /// [`WindowedStore::ingest`]).
     pub fn ingest(&mut self, epoch: u64, batch: &[(&str, u64)]) {
-        if batch.is_empty() && epoch > self.advanced_to {
-            self.store.advance(epoch);
-            self.advanced_to = epoch;
-            return;
-        }
+        self.advance_to(epoch);
         for &(key, hash) in batch {
-            self.insert(key, epoch, hash);
+            self.buf.insert(key, epoch, hash);
         }
     }
 
     /// Flushes all buffered deltas and drains the store's handoff
     /// queues (a barrier); see [`IngestSession::flush`].
     pub fn flush(&mut self) {
-        self.flush_with(true);
-    }
-
-    fn flush_with(&mut self, barrier: bool) {
-        self.buffered = 0;
-        let store = self.store;
-        {
-            let mut groups: Vec<Vec<(&String, u64, &mut AdaptiveExaLogLog)>> = Vec::new();
-            groups.resize_with(store.shard_count(), Vec::new);
-            for (key, (si, entries)) in self.deltas.iter_mut() {
-                for (epoch, delta) in entries.iter_mut() {
-                    // Empty-epoch deltas (reset by an earlier flush, not
-                    // refilled) carry nothing — skip the merge entirely.
-                    if !delta.is_empty() {
-                        groups[*si].push((key, *epoch, delta));
-                    }
-                }
-            }
-            for (si, mut group) in groups.into_iter().enumerate() {
-                if !group.is_empty() {
-                    store.flush_group_ref(si, &mut group, barrier);
-                }
-            }
-        }
-        // Recycle every per-epoch delta (the store reset the flushed
-        // ones; stragglers are already empty): the key entries survive,
-        // the sketches go back to the spare pool.
-        for (_, (_, entries)) in self.deltas.iter_mut() {
-            for (_, mut delta) in entries.drain(..) {
-                delta.reset();
-                self.spare.push(delta);
-            }
-        }
-        if barrier {
-            store.drain_all_pending();
-        }
-    }
-}
-
-impl Drop for WindowIngestSession<'_> {
-    fn drop(&mut self) {
-        self.flush_with(true);
+        self.buf.flush(true);
     }
 }
 
@@ -412,9 +466,9 @@ mod tests {
         }
         // One key, many flushes: exactly one delta entry, kept across
         // flushes and reset in place.
-        assert_eq!(session.deltas.len(), 1);
+        assert_eq!(session.buf.deltas.len(), 1);
         session.flush();
-        let (_, delta) = session.deltas.get("steady").unwrap();
+        let (_, delta) = session.buf.deltas.get("steady").unwrap();
         assert!(delta.is_empty());
     }
 
@@ -454,8 +508,8 @@ mod tests {
         }
         session.flush();
         // All per-epoch sketches were recycled rather than dropped.
-        assert!(!session.spare.is_empty());
-        let (_, entries) = session.deltas.get("k").unwrap();
+        assert!(!session.buf.spare.is_empty());
+        let (_, entries) = session.buf.deltas.get("k").unwrap();
         assert!(entries.is_empty());
     }
 }

@@ -13,8 +13,10 @@
 //! `E` dense [`ExaLogLog`] sub-sketches (slot `e % E` holds the data of
 //! epoch `e` for every epoch in the live window) plus one compacted
 //! *retired* union of every epoch that has fallen out of the window.
-//! Like [`EllStore`](crate::EllStore), keys are hash-partitioned over N
-//! power-of-two shards, each a `RwLock<HashMap<..>>`.
+//! Keys are routed, sharded and handed off by the same sharded core as
+//! [`EllStore`](crate::EllStore)'s: N power-of-two shards, each a
+//! `RwLock<HashMap<..>>`, with one handoff queue per shard that session
+//! deltas drain through with the window position pinned.
 //!
 //! On top of the ring each key keeps a chain of **suffix unions**:
 //! `suffix[j]` is the union of the newest `j + 1` *sealed* epochs (every
@@ -93,26 +95,23 @@
 //! assert!(stats.suffix_hits + stats.lazy_rebuilds > 0);
 //! ```
 
-use crate::store::HANDOFF_SOFT_CAPACITY;
+use crate::session::SessionStore;
+use crate::shard::{ShardSlot, Sharded};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Mutex, RwLock, TryLockError};
+use crate::sync::{Mutex, RwLock};
 use crate::tiers::{TierCounters, TierStats};
-use ell_hash::{Hasher64, WyHash};
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
+use std::borrow::Cow;
 use std::collections::HashMap;
-
-/// Key-partitioning hash seed, shared with the flat store so the two
-/// layers shard identically for the same key space.
-const KEY_HASH_SEED: u64 = 0xE115_70E5;
 
 /// One key's windowed state: live (a full epoch ring) or warm (the same
 /// state as compressed bytes — sealed ring slots and retired unions are
 /// immutable except for late events, which makes them the prime
 /// demotion targets).
 #[derive(Debug)]
-enum WindowSlot {
+pub(crate) enum WindowSlot {
     Live(WindowRing),
     Warm(WarmRing),
 }
@@ -122,7 +121,7 @@ enum WindowSlot {
 /// warm keys entirely and the catch-up happens at promotion), one for
 /// the retired union, and any session deltas parked by lazy flushes.
 #[derive(Debug)]
-struct WarmRing {
+pub(crate) struct WarmRing {
     /// `(epoch, ELLZ payload)` per nonempty slot at demotion time,
     /// sorted by epoch (canonical for snapshots).
     slots: Vec<(u64, Box<[u8]>)>,
@@ -133,27 +132,10 @@ struct WarmRing {
     pending: Vec<(u64, AdaptiveExaLogLog)>,
 }
 
-impl WarmRing {
-    /// Heap footprint (the inline struct is counted by the store as
-    /// part of its map entry).
-    fn memory_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|(_, bytes)| bytes.len() + core::mem::size_of::<(u64, Box<[u8]>)>())
-            .sum::<usize>()
-            + self.retired.as_ref().map_or(0, |bytes| bytes.len())
-            + self
-                .pending
-                .iter()
-                .map(|(_, delta)| delta.memory_bytes() + core::mem::size_of::<u64>())
-                .sum::<usize>()
-    }
-}
-
 /// One key's live windowed state: the epoch ring, the retired union, and
 /// the rotation-amortized suffix-union chain over the sealed slots.
 #[derive(Debug)]
-struct WindowRing {
+pub(crate) struct WindowRing {
     /// Slot `e % E` holds epoch `e`'s sub-sketch for every live epoch
     /// `e` in `(current − E, current]`; slots for epochs the key never
     /// saw stay empty (and cost one zero-word scan to merge).
@@ -188,28 +170,34 @@ impl WindowRing {
         }
     }
 
-    fn memory_bytes(&self) -> usize {
-        self.retired.memory_bytes()
-            + self.ring.iter().map(ExaLogLog::memory_bytes).sum::<usize>()
-            + self
-                .suffix
-                .iter()
-                .map(ExaLogLog::memory_bytes)
-                .sum::<usize>()
+    /// The sketch a write for `epoch` lands in under the pinned
+    /// `current`: the epoch's ring slot while it is live, the retired
+    /// union once it has rotated out. A late write into a *sealed* live
+    /// slot (`epoch < current`) truncates the suffix chain to the
+    /// entries that exclude it, counting a dirty invalidation if that
+    /// shortened it; the next query rebuilds the rest.
+    fn target(&mut self, current: u64, epoch: u64, stats: &WindowStatCells) -> &mut ExaLogLog {
+        let e = self.ring.len() as u64;
+        if current - epoch >= e {
+            return &mut self.retired;
+        }
+        if epoch < current {
+            let keep = (current - 1 - epoch) as usize;
+            if self.valid > keep {
+                self.valid = keep;
+                stats.invalidate();
+            }
+        }
+        &mut self.ring[(epoch % e) as usize]
     }
 
-    /// Records a write into the sealed slot of live epoch `epoch`
-    /// (`epoch < current`): suffix entries whose range includes it are
-    /// no longer unions of their slots. Returns whether any entry was
-    /// actually invalidated.
-    fn note_sealed_write(&mut self, current: u64, epoch: u64) -> bool {
-        let keep = (current - 1 - epoch) as usize;
-        if self.valid > keep {
-            self.valid = keep;
-            true
-        } else {
-            false
-        }
+    /// Whether the ring has gone untouched for at least `after` epochs
+    /// as of `current`.
+    fn is_idle(&self, current: u64, after: u64) -> bool {
+        // ordering: Relaxed — idle-age read under the shard write lock,
+        // which already orders it after every stamp made under a read
+        // lock; staleness only shifts a demotion by one sweep.
+        current.saturating_sub(self.touched.load(Ordering::Relaxed)) >= after
     }
 }
 
@@ -291,8 +279,12 @@ pub struct WindowedStore {
     /// ingest and queries, for write during rotation, so every operation
     /// sees one consistent window position.
     current: RwLock<u64>,
-    hasher: WyHash,
-    shards: Vec<RwLock<HashMap<String, WindowSlot>>>,
+    /// Key router, shard maps, and the per-shard handoff queues
+    /// [`crate::WindowIngestSession`]s park `(key, epoch, delta)` on;
+    /// queues drain into ring slots (or retired unions, for rotated-out
+    /// epochs) under the shard write lock with the window position
+    /// pinned.
+    core: Sharded<WindowSlot>,
     /// Epochs of inactivity after which a key's ring demotes to the
     /// compressed warm tier (`None` disables tiering — the default).
     /// The demotion clock *is* the epoch counter: rotation and
@@ -310,12 +302,6 @@ pub struct WindowedStore {
     /// shards never contend (mirroring the sharded read concurrency of
     /// the maps themselves).
     scratches: Vec<Mutex<ExaLogLog>>,
-    /// Per-shard handoff queues for buffered-delta ingest (see
-    /// [`crate::WindowIngestSession`]): sessions park
-    /// `(key, epoch, delta)` triples here; the queue drains into ring
-    /// slots (or retired unions, for rotated-out epochs) under the shard
-    /// write lock with the window position pinned.
-    pending: Vec<Mutex<Vec<(String, u64, AdaptiveExaLogLog)>>>,
     /// Suffix-cache effectiveness counters (see
     /// [`WindowedStore::window_stats`]).
     stats: WindowStatCells,
@@ -338,37 +324,27 @@ impl WindowedStore {
     /// Rejects a shard count that is zero or not a power of two, and a
     /// zero epoch count.
     pub fn new(shards: usize, cfg: EllConfig, epochs: usize) -> Result<Self, EllError> {
-        if shards == 0 || !shards.is_power_of_two() {
-            return Err(EllError::InvalidParameter {
-                reason: format!("shard count {shards} must be a nonzero power of two"),
-            });
-        }
+        let core = Sharded::new(shards)?;
         if epochs == 0 {
             return Err(EllError::InvalidParameter {
                 reason: "epoch ring needs at least one slot".into(),
             });
         }
-        let mut shard_maps = Vec::with_capacity(shards);
-        shard_maps.resize_with(shards, || RwLock::new(HashMap::new()));
         let template = ExaLogLog::new(cfg);
         let mut scratches = Vec::with_capacity(shards);
         scratches.resize_with(shards, || Mutex::new(template.clone()));
         // Validate the default token parameter eagerly so session delta
         // creation is infallible.
         AdaptiveExaLogLog::new(cfg)?;
-        let mut pending = Vec::with_capacity(shards);
-        pending.resize_with(shards, || Mutex::new(Vec::new()));
         Ok(WindowedStore {
             cfg,
             epochs,
             current: RwLock::new(0),
-            hasher: WyHash::new(KEY_HASH_SEED),
-            shards: shard_maps,
+            core,
             warm_after: None,
             counters: TierCounters::default(),
             scratches,
             template,
-            pending,
             stats: WindowStatCells::default(),
         })
     }
@@ -409,17 +385,13 @@ impl WindowedStore {
     /// The number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shard_count()
     }
 
     /// The newest epoch the window has advanced to (0 for a new store).
     #[must_use]
     pub fn current_epoch(&self) -> u64 {
         *self.current.read().expect("epoch lock poisoned")
-    }
-
-    pub(crate) fn shard_of(&self, key: &str) -> usize {
-        (self.hasher.hash_bytes(key.as_bytes()) as usize) & (self.shards.len() - 1)
     }
 
     /// Advances the window to `epoch` (a no-op when the window is
@@ -448,8 +420,7 @@ impl WindowedStore {
         // ones whose previous occupants leave the window; with a jump of
         // ≥ E epochs that is every slot, each folding exactly once.
         let first = (*current + 1).max(epoch.saturating_sub(e - 1));
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
+        for mut map in self.core.write_each() {
             for entry in map.values_mut() {
                 let WindowSlot::Live(ring) = entry else {
                     continue;
@@ -464,17 +435,11 @@ impl WindowedStore {
                 // The sealed set shifted under the chain; re-derive it
                 // lazily rather than paying E merges per key up front.
                 ring.valid = 0;
-                if let Some(after) = self.warm_after {
-                    // ordering: Relaxed — idle-age read under the shard
-                    // write lock, which already orders it after every
-                    // stamp made under a read lock; staleness only shifts
-                    // a demotion by one sweep.
-                    let idle = epoch.saturating_sub(ring.touched.load(Ordering::Relaxed));
-                    if idle >= after {
-                        let warm = self.demote_ring(epoch, ring);
-                        *entry = WindowSlot::Warm(warm);
-                        TierCounters::count(&self.counters.demotions_warm);
-                    }
+                if self
+                    .warm_after
+                    .is_some_and(|after| ring.is_idle(epoch, after))
+                {
+                    self.demote_entry(entry, epoch);
                 }
             }
         }
@@ -493,19 +458,10 @@ impl WindowedStore {
         };
         let current = self.current.read().expect("epoch lock poisoned");
         let mut demoted = 0;
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
+        for mut map in self.core.write_each() {
             for entry in map.values_mut() {
-                let WindowSlot::Live(ring) = entry else {
-                    continue;
-                };
-                // ordering: Relaxed — same contract as the rotation
-                // sweep's idle read above.
-                let idle = current.saturating_sub(ring.touched.load(Ordering::Relaxed));
-                if idle >= after {
-                    let warm = self.demote_ring(*current, ring);
-                    *entry = WindowSlot::Warm(warm);
-                    TierCounters::count(&self.counters.demotions_warm);
+                if matches!(entry, WindowSlot::Live(ring) if ring.is_idle(*current, after)) {
+                    self.demote_entry(entry, *current);
                     demoted += 1;
                 }
             }
@@ -519,8 +475,7 @@ impl WindowedStore {
     pub fn promote_all(&self) -> usize {
         let current = self.current.read().expect("epoch lock poisoned");
         let mut promoted = 0;
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
+        for mut map in self.core.write_each() {
             for entry in map.values_mut() {
                 if matches!(entry, WindowSlot::Warm(_)) {
                     self.promote_slot(entry, *current);
@@ -529,6 +484,15 @@ impl WindowedStore {
             }
         }
         promoted
+    }
+
+    /// Demotes a live `entry` to the warm tier under the pinned
+    /// `current` (a no-op on warm entries).
+    fn demote_entry(&self, entry: &mut WindowSlot, current: u64) {
+        if let WindowSlot::Live(ring) = entry {
+            *entry = WindowSlot::Warm(self.demote_ring(current, ring));
+            TierCounters::count(&self.counters.demotions_warm);
+        }
     }
 
     /// Compresses a live ring down to a [`WarmRing`]: one `ELLZ` payload
@@ -572,6 +536,8 @@ impl WindowedStore {
     fn materialize(&self, warm: &WarmRing, current: u64) -> WindowRing {
         let e = self.epochs as u64;
         let mut ring = WindowRing::new(&self.template, self.epochs, current);
+        // The suffix chain starts invalid; queries re-derive it lazily.
+        ring.valid = 0;
         for (epoch, payload) in &warm.slots {
             let sketch = decompress(payload).expect("warm payloads are produced by this store");
             if current - *epoch < e {
@@ -589,17 +555,10 @@ impl WindowedStore {
                 .expect("warm payloads share the store configuration");
         }
         for (epoch, delta) in &warm.pending {
-            let target = if current - *epoch < e {
-                &mut ring.ring[(*epoch % e) as usize]
-            } else {
-                &mut ring.retired
-            };
             delta
-                .merge_into_dense(target)
+                .merge_into_dense(ring.target(current, *epoch, &self.stats))
                 .expect("deltas share the store configuration");
         }
-        // The suffix chain starts invalid; queries re-derive it lazily.
-        ring.valid = 0;
         ring
     }
 
@@ -651,17 +610,11 @@ impl WindowedStore {
     /// Ingest with the window pinned at `current` (the epoch read lock
     /// is held by the caller's stack frame logic: `epoch ≤ current`).
     fn ingest_at(&self, current: u64, epoch: u64, batch: &[(&str, u64)]) {
-        let live = current - epoch < self.epochs as u64;
-        let slot = (epoch % self.epochs as u64) as usize;
-        let mut buckets: Vec<Vec<(&str, u64)>> = vec![Vec::new(); self.shards.len()];
-        for &(key, hash) in batch {
-            buckets[self.shard_of(key)].push((key, hash));
-        }
-        for (si, bucket) in buckets.iter().enumerate() {
+        for (si, bucket) in self.core.route(batch).iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
-            let mut map = self.shards[si].write().expect("shard lock poisoned");
+            let mut map = self.core.write(si);
             // Group hashes per key (preserving per-key order) so each
             // ring takes one batched insert; keys are independent, so
             // group iteration order cannot affect the result.
@@ -669,17 +622,6 @@ impl WindowedStore {
             for &(key, hash) in bucket {
                 grouped.entry(key).or_default().push(hash);
             }
-            fn target(ring: &mut WindowRing, live: bool, slot: usize) -> &mut ExaLogLog {
-                if live {
-                    &mut ring.ring[slot]
-                } else {
-                    &mut ring.retired
-                }
-            }
-            // A write into a *sealed* live slot (a late event for an
-            // epoch older than the current one) invalidates the suffix
-            // entries that cover it; the next query rebuilds them.
-            let sealed = live && epoch < current;
             for (key, hashes) in grouped {
                 let entry = match map.get_mut(key) {
                     Some(entry) => entry,
@@ -695,14 +637,10 @@ impl WindowedStore {
                 let WindowSlot::Live(ring) = &mut *entry else {
                     unreachable!("promote_slot leaves a live ring");
                 };
-                target(ring, live, slot).insert_hashes(&hashes);
-                if sealed && ring.note_sealed_write(current, epoch) {
-                    self.stats.invalidate();
-                }
+                ring.target(current, epoch, &self.stats)
+                    .insert_hashes(&hashes);
                 if was_warm && epoch < current {
-                    let warm = self.demote_ring(current, ring);
-                    *entry = WindowSlot::Warm(warm);
-                    TierCounters::count(&self.counters.demotions_warm);
+                    self.demote_entry(entry, current);
                 } else {
                     // ordering: Relaxed — idle-age stamp; read only by
                     // the demotion sweeps under the shard write lock.
@@ -720,171 +658,6 @@ impl WindowedStore {
     #[must_use]
     pub fn session(&self) -> crate::WindowIngestSession<'_> {
         crate::WindowIngestSession::new(self)
-    }
-
-    pub(crate) fn new_delta(&self) -> AdaptiveExaLogLog {
-        AdaptiveExaLogLog::new(self.cfg).expect("configuration validated at store construction")
-    }
-
-    /// Merges one shard's worth of session deltas **by reference** —
-    /// the session keeps (and resets) its buffers. Same protocol as the
-    /// flat store: a barrier flush takes the shard write lock outright;
-    /// an auto-flush only `try_write`s, and on contention clones the
-    /// deltas onto the handoff queue instead (blocking-draining it once
-    /// it crosses [`HANDOFF_SOFT_CAPACITY`]). Whoever gets the lock
-    /// drains the queue first, so queued and by-ref deltas can never
-    /// reorder observably (register merge is commutative anyway).
-    pub(crate) fn flush_group_ref(
-        &self,
-        si: usize,
-        group: &mut [(&String, u64, &mut AdaptiveExaLogLog)],
-        barrier: bool,
-    ) {
-        let current = self.current.read().expect("epoch lock poisoned");
-        let guard = if barrier {
-            Some(self.shards[si].write().expect("shard lock poisoned"))
-        } else {
-            match self.shards[si].try_write() {
-                Ok(guard) => Some(guard),
-                Err(TryLockError::WouldBlock) => None,
-                // Poison propagates like the blocking path's expect.
-                other => Some(other.expect("shard lock poisoned")),
-            }
-        };
-        match guard {
-            Some(mut map) => {
-                self.drain_queue_into(si, &mut map, *current);
-                for (key, epoch, delta) in group.iter_mut() {
-                    self.merge_window_delta(&mut map, key, *epoch, delta, *current);
-                    delta.reset();
-                }
-            }
-            None => {
-                let depth = {
-                    let mut queue = self.pending[si].lock().expect("handoff queue poisoned");
-                    for (key, epoch, delta) in group.iter_mut() {
-                        queue.push(((*key).clone(), *epoch, delta.clone()));
-                        delta.reset();
-                    }
-                    queue.len()
-                };
-                if depth >= HANDOFF_SOFT_CAPACITY {
-                    drop(current);
-                    self.drain_shard(si, true);
-                }
-            }
-        }
-    }
-
-    /// Drains every nonempty handoff queue (blocking); the final step of
-    /// a barrier flush.
-    pub(crate) fn drain_all_pending(&self) {
-        for si in 0..self.shards.len() {
-            let parked = !self.pending[si]
-                .lock()
-                .expect("handoff queue poisoned")
-                .is_empty();
-            if parked {
-                self.drain_shard(si, true);
-            }
-        }
-    }
-
-    /// Drains shard `si`'s handoff queue into its rings with the window
-    /// position pinned: the epoch read lock is held for the whole drain,
-    /// so the live-or-retired decision for every queued delta is
-    /// consistent with rotation (rotation takes the epoch write lock).
-    /// Deltas whose epoch has left the window fold into the retired
-    /// union — exactly the state rotation would have produced had they
-    /// been flushed before it, so flush timing cannot change the final
-    /// bytes. Write lock first, then pop until the queue is observed
-    /// empty (same happens-before argument as the flat store).
-    fn drain_shard(&self, si: usize, blocking: bool) {
-        let current = self.current.read().expect("epoch lock poisoned");
-        let mut map = if blocking {
-            self.shards[si].write().expect("shard lock poisoned")
-        } else {
-            match self.shards[si].try_write() {
-                Ok(guard) => guard,
-                Err(TryLockError::WouldBlock) => return,
-                // Poison propagates like the blocking path's expect.
-                other => other.expect("shard lock poisoned"),
-            }
-        };
-        self.drain_queue_into(si, &mut map, *current);
-    }
-
-    /// Pops shard `si`'s handoff queue until it is observed empty,
-    /// merging every delta (the caller holds the shard write lock and
-    /// has the window pinned at `current`).
-    fn drain_queue_into(&self, si: usize, map: &mut HashMap<String, WindowSlot>, current: u64) {
-        loop {
-            let batch =
-                std::mem::take(&mut *self.pending[si].lock().expect("handoff queue poisoned"));
-            if batch.is_empty() {
-                return;
-            }
-            for (key, epoch, delta) in batch {
-                self.merge_window_delta(map, &key, epoch, &delta, current);
-            }
-        }
-    }
-
-    /// Merges one session delta for `(key, epoch)` into the shard map
-    /// under the pinned window position. Live rings take the merge
-    /// directly (deltas for rotated-out epochs fold into the retired
-    /// union — exactly the state rotation would have produced, so flush
-    /// timing cannot change the final bytes); **warm keys park the delta
-    /// on the entry** instead of promoting, and the next promotion folds
-    /// it in — the flush path never decompresses anything.
-    fn merge_window_delta(
-        &self,
-        map: &mut HashMap<String, WindowSlot>,
-        key: &str,
-        epoch: u64,
-        delta: &AdaptiveExaLogLog,
-        current: u64,
-    ) {
-        debug_assert!(epoch <= current, "sessions advance the window on buffer");
-        let live = current - epoch < self.epochs as u64;
-        let slot = (epoch % self.epochs as u64) as usize;
-        let entry = match map.get_mut(key) {
-            Some(entry) => entry,
-            None => map.entry(key.to_string()).or_insert_with(|| {
-                WindowSlot::Live(WindowRing::new(&self.template, self.epochs, current))
-            }),
-        };
-        match entry {
-            WindowSlot::Live(ring) => {
-                let target = if live {
-                    &mut ring.ring[slot]
-                } else {
-                    &mut ring.retired
-                };
-                delta
-                    .merge_into_dense(target)
-                    .expect("deltas share the store configuration");
-                // A session delta for a sealed epoch is a late write:
-                // truncate the suffix chain exactly like direct ingest.
-                if live && epoch < current && ring.note_sealed_write(current, epoch) {
-                    self.stats.invalidate();
-                }
-                if epoch == current {
-                    // ordering: Relaxed — idle-age stamp; read only by
-                    // the demotion sweeps under the shard write lock.
-                    ring.touched.store(current, Ordering::Relaxed);
-                }
-            }
-            WindowSlot::Warm(warm) => {
-                match warm.pending.iter_mut().find(|(parked, _)| *parked == epoch) {
-                    Some((_, parked)) => parked
-                        .merge_from(delta)
-                        .expect("deltas share the store configuration"),
-                    None => warm.pending.push((epoch, delta.clone())),
-                }
-                TierCounters::count(&self.counters.parked_deltas);
-            }
-        }
     }
 
     /// Extends `ring`'s suffix chain so the first `needed` entries are
@@ -970,9 +743,9 @@ impl WindowedStore {
         finish: impl Fn(usize, &WindowRing, u64) -> f64,
     ) -> Option<f64> {
         let current = self.current.read().expect("epoch lock poisoned");
-        let si = self.shard_of(key);
+        let si = self.core.shard_of(key);
         {
-            let map = self.shards[si].read().expect("shard lock poisoned");
+            let map = self.core.read(si);
             if let WindowSlot::Live(ring) = map.get(key)? {
                 if ring.valid >= needed {
                     self.stats.hit();
@@ -990,7 +763,7 @@ impl WindowedStore {
         // or the key is warm: promote and/or rebuild the missing entries
         // under the shard write lock, then answer there. Another thread
         // may have raced us to it.
-        let mut map = self.shards[si].write().expect("shard lock poisoned");
+        let mut map = self.core.write(si);
         let entry = map.get_mut(key)?;
         self.promote_slot(entry, *current);
         let WindowSlot::Live(ring) = entry else {
@@ -1072,9 +845,7 @@ impl WindowedStore {
             return None;
         }
         let slot = (epoch % self.epochs as u64) as usize;
-        let map = self.shards[self.shard_of(key)]
-            .read()
-            .expect("shard lock poisoned");
+        let map = self.core.read(self.core.shard_of(key));
         match map.get(key)? {
             WindowSlot::Live(ring) => Some(ring.ring[slot].clone()),
             WindowSlot::Warm(warm) => {
@@ -1090,9 +861,7 @@ impl WindowedStore {
     #[must_use]
     pub fn retired_sketch(&self, key: &str) -> Option<ExaLogLog> {
         let current = self.current.read().expect("epoch lock poisoned");
-        let map = self.shards[self.shard_of(key)]
-            .read()
-            .expect("shard lock poisoned");
+        let map = self.core.read(self.core.shard_of(key));
         match map.get(key)? {
             WindowSlot::Live(ring) => Some(ring.retired.clone()),
             WindowSlot::Warm(warm) => Some(self.materialize(warm, *current).retired),
@@ -1102,10 +871,7 @@ impl WindowedStore {
     /// The number of distinct keys in the store.
     #[must_use]
     pub fn key_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").len())
-            .sum()
+        self.core.key_count()
     }
 
     /// Whether the store holds no keys at all.
@@ -1117,19 +883,7 @@ impl WindowedStore {
     /// All keys, sorted (a point-in-time copy).
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
+        self.core.keys()
     }
 
     /// `(key, windowed estimate over the last `last_k` epochs)` for every
@@ -1140,40 +894,28 @@ impl WindowedStore {
     /// Panics when `last_k` is zero or exceeds the ring capacity.
     #[must_use]
     pub fn window_estimates(&self, last_k: usize) -> Vec<(String, f64)> {
-        let mut rows: Vec<(String, f64)> = self
-            .keys()
+        // `keys` is sorted, and filtering keeps the order.
+        self.keys()
             .into_iter()
             .filter_map(|key| {
                 let estimate = self.estimate_window(&key, last_k)?;
                 Some((key, estimate))
             })
-            .collect();
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        rows
+            .collect()
     }
 
-    /// Approximate total in-memory footprint in bytes (keys + rings or
-    /// warm payloads + the store scaffolding). A deep account: warm
-    /// entries contribute their compressed payload lengths plus any
-    /// parked deltas, which is what the tiering trade is about.
+    /// Approximate total in-memory footprint in bytes: store
+    /// scaffolding, shard map tables (bucket capacity, not just
+    /// occupancy), keys, rings or warm payloads, and session deltas
+    /// parked on the handoff queues. A deep account: warm entries
+    /// contribute their compressed payload lengths plus any parked
+    /// deltas, which is what the tiering trade is about.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         // Scaffolding: the template plus one query scratch per shard.
-        let mut total =
-            core::mem::size_of::<Self>() + (1 + self.shards.len()) * self.template.memory_bytes();
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            total += map.capacity()
-                * (core::mem::size_of::<(String, WindowSlot)>() + core::mem::size_of::<u64>());
-            for (key, entry) in map.iter() {
-                total += key.len();
-                total += match entry {
-                    WindowSlot::Live(ring) => ring.memory_bytes(),
-                    WindowSlot::Warm(warm) => warm.memory_bytes(),
-                };
-            }
-        }
-        total
+        core::mem::size_of::<Self>()
+            + (1 + self.core.shard_count()) * self.template.memory_bytes()
+            + self.core.memory_bytes()
     }
 
     /// Tier occupancy and transition counters. The windowed store only
@@ -1188,8 +930,7 @@ impl WindowedStore {
             resident_bytes: self.memory_bytes(),
             ..TierStats::default()
         };
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
+        for map in self.core.read_each() {
             for entry in map.values() {
                 match entry {
                     WindowSlot::Live(_) => stats.hot_keys += 1,
@@ -1205,18 +946,12 @@ impl WindowedStore {
     /// serialized form is canonical. The snapshot pre-pass.
     fn settle_parked(&self) {
         let current = self.current.read().expect("epoch lock poisoned");
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
+        for mut map in self.core.write_each() {
             for entry in map.values_mut() {
-                let settled = match &*entry {
-                    WindowSlot::Warm(warm) if !warm.pending.is_empty() => {
-                        let ring = self.materialize(warm, *current);
-                        Some(self.demote_ring(*current, &ring))
+                if let WindowSlot::Warm(warm) = entry {
+                    if !warm.pending.is_empty() {
+                        *warm = self.demote_ring(*current, &self.materialize(warm, *current));
                     }
-                    _ => None,
-                };
-                if let Some(warm) = settled {
-                    *entry = WindowSlot::Warm(warm);
                 }
             }
         }
@@ -1228,31 +963,16 @@ impl WindowedStore {
     /// re-snapshot is byte-identical.
     pub(crate) fn wire_entries(&self) -> Vec<(String, WireRing)> {
         self.settle_parked();
-        let mut out: Vec<(String, WireRing)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .iter()
-                    .map(|(k, entry)| {
-                        let wire = match entry {
-                            WindowSlot::Live(ring) => WireRing::Live {
-                                retired: ring.retired.clone(),
-                                slots: ring.ring.clone(),
-                            },
-                            WindowSlot::Warm(warm) => WireRing::Warm {
-                                retired: warm.retired.clone(),
-                                slots: warm.slots.clone(),
-                            },
-                        };
-                        (k.clone(), wire)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.core.collect_sorted(|entry| match entry {
+            WindowSlot::Live(ring) => WireRing::Live {
+                retired: ring.retired.clone(),
+                slots: ring.ring.clone(),
+            },
+            WindowSlot::Warm(warm) => WireRing::Warm {
+                retired: warm.retired.clone(),
+                slots: warm.slots.clone(),
+            },
+        })
     }
 
     /// Wire-format restore seam: places a fully-formed live ring under
@@ -1267,21 +987,14 @@ impl WindowedStore {
         slots: Vec<ExaLogLog>,
     ) -> bool {
         debug_assert_eq!(slots.len(), self.epochs);
-        let si = self.shard_of(&key);
-        self.shards[si]
-            .write()
-            .expect("shard lock poisoned")
-            .insert(
-                key,
-                WindowSlot::Live(WindowRing {
-                    ring: slots,
-                    retired,
-                    suffix: vec![self.template.clone(); self.epochs - 1],
-                    valid: 0,
-                    touched: AtomicU64::new(0),
-                }),
-            )
-            .is_none()
+        let ring = WindowRing {
+            ring: slots,
+            retired,
+            suffix: vec![self.template.clone(); self.epochs - 1],
+            valid: 0,
+            touched: AtomicU64::new(0),
+        };
+        self.core.place(key, WindowSlot::Live(ring))
     }
 
     /// Wire-format restore seam: places a warm entry under `key` with
@@ -1293,19 +1006,12 @@ impl WindowedStore {
         retired: Option<Box<[u8]>>,
         slots: Vec<(u64, Box<[u8]>)>,
     ) -> bool {
-        let si = self.shard_of(&key);
-        self.shards[si]
-            .write()
-            .expect("shard lock poisoned")
-            .insert(
-                key,
-                WindowSlot::Warm(WarmRing {
-                    slots,
-                    retired,
-                    pending: Vec::new(),
-                }),
-            )
-            .is_none()
+        let warm = WarmRing {
+            slots,
+            retired,
+            pending: Vec::new(),
+        };
+        self.core.place(key, WindowSlot::Warm(warm))
     }
 
     /// Wire-format restore seam: pins the current epoch without
@@ -1314,8 +1020,7 @@ impl WindowedStore {
     /// demote everything on its first advance.
     pub(crate) fn set_current_epoch(&self, epoch: u64) {
         *self.current.write().expect("epoch lock poisoned") = epoch;
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
+        for map in self.core.read_each() {
             for entry in map.values() {
                 if let WindowSlot::Live(ring) = entry {
                     // ordering: Relaxed — idle-age stamp on restore.
@@ -1323,6 +1028,108 @@ impl WindowedStore {
                 }
             }
         }
+    }
+}
+
+/// A [`WindowedStore`] with its window position pinned: the context
+/// session deltas merge under. Holders keep the epoch read lock for as
+/// long as the value lives, so the live-or-retired decision for every
+/// delta is consistent with rotation.
+pub(crate) struct Pinned<'a> {
+    store: &'a WindowedStore,
+    current: u64,
+}
+
+impl ShardSlot for WindowSlot {
+    type Tag = u64;
+    type Ctx<'c> = Pinned<'c>;
+
+    /// Live rings take the merge directly (deltas for rotated-out epochs
+    /// fold into the retired union — exactly the state rotation would
+    /// have produced, so flush timing cannot change the final bytes);
+    /// **warm keys park the delta on the entry** instead of promoting,
+    /// and the next promotion folds it in — the flush path never
+    /// decompresses anything.
+    fn merge_delta(
+        ctx: &Pinned<'_>,
+        map: &mut HashMap<String, WindowSlot>,
+        key: Cow<'_, str>,
+        epoch: u64,
+        delta: Cow<'_, AdaptiveExaLogLog>,
+    ) {
+        let Pinned { store, current } = *ctx;
+        debug_assert!(epoch <= current, "sessions advance the window on buffer");
+        let entry = match map.get_mut(&*key) {
+            Some(entry) => entry,
+            None => map.entry(key.into_owned()).or_insert_with(|| {
+                WindowSlot::Live(WindowRing::new(&store.template, store.epochs, current))
+            }),
+        };
+        match entry {
+            WindowSlot::Live(ring) => {
+                // A session delta for a sealed epoch is a late write:
+                // it truncates the suffix chain exactly like direct
+                // ingest.
+                delta
+                    .merge_into_dense(ring.target(current, epoch, &store.stats))
+                    .expect("deltas share the store configuration");
+                if epoch == current {
+                    // ordering: Relaxed — idle-age stamp; read only by
+                    // the demotion sweeps under the shard write lock.
+                    ring.touched.store(current, Ordering::Relaxed);
+                }
+            }
+            WindowSlot::Warm(warm) => {
+                match warm.pending.iter_mut().find(|(parked, _)| *parked == epoch) {
+                    Some((_, parked)) => parked
+                        .merge_from(&delta)
+                        .expect("deltas share the store configuration"),
+                    None => warm.pending.push((epoch, delta.into_owned())),
+                }
+                TierCounters::count(&store.counters.parked_deltas);
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let sketches = |s: &[ExaLogLog]| s.iter().map(ExaLogLog::memory_bytes).sum::<usize>();
+        match self {
+            WindowSlot::Live(ring) => {
+                ring.retired.memory_bytes() + sketches(&ring.ring) + sketches(&ring.suffix)
+            }
+            WindowSlot::Warm(warm) => {
+                warm.slots
+                    .iter()
+                    .map(|(_, bytes)| bytes.len() + core::mem::size_of::<(u64, Box<[u8]>)>())
+                    .sum::<usize>()
+                    + warm.retired.as_ref().map_or(0, |bytes| bytes.len())
+                    + warm
+                        .pending
+                        .iter()
+                        .map(|(_, delta)| delta.memory_bytes() + core::mem::size_of::<u64>())
+                        .sum::<usize>()
+            }
+        }
+    }
+}
+
+impl SessionStore for WindowedStore {
+    type Slot = WindowSlot;
+
+    fn core(&self) -> &Sharded<WindowSlot> {
+        &self.core
+    }
+
+    fn new_delta(&self) -> AdaptiveExaLogLog {
+        AdaptiveExaLogLog::new(self.cfg).expect("configuration validated at store construction")
+    }
+
+    fn pinned<R>(&self, f: impl FnOnce(&Pinned<'_>) -> R) -> R {
+        let current = self.current.read().expect("epoch lock poisoned");
+        f(&Pinned {
+            store: self,
+            current: *current,
+        })
     }
 }
 
@@ -1477,6 +1284,34 @@ mod tests {
         store.insert("some-key", 0, 7);
         // One key costs E+1 register arrays.
         assert!(store.memory_bytes() > empty + 3 * cfg().register_array_bytes());
+    }
+
+    #[test]
+    fn memory_walk_counts_queued_window_deltas() {
+        let store = WindowedStore::new(1, cfg(), 2).unwrap();
+        let key = "parked".to_string();
+        let mut delta = store.new_delta();
+        delta.insert_hash(mix64(1));
+        let before = store.memory_bytes();
+        {
+            // With the shard's write lock held, an auto-flush finds it
+            // contended and parks the delta on the handoff queue.
+            let _held = store.core.write(0);
+            store.pinned(|ctx| {
+                store
+                    .core
+                    .flush_group_ref(0, &mut [(&key, 0, &mut delta)], false, ctx);
+            });
+        }
+        assert_eq!(store.key_count(), 0, "the delta is parked, not merged");
+        let queued = key.len() + core::mem::size_of::<(String, u64, AdaptiveExaLogLog)>();
+        assert!(
+            store.memory_bytes() >= before + queued,
+            "parked delta missing from the memory walk"
+        );
+        // A barrier drain moves it into the key's ring.
+        store.pinned(|ctx| store.core.drain_all_pending(ctx));
+        assert_eq!(store.key_count(), 1);
     }
 
     #[test]

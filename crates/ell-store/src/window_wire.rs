@@ -37,9 +37,10 @@
 //! trip for demoted keys, restore places them back as warm entries, and
 //! a restore → re-snapshot cycle reproduces the identical bytes.
 
+use crate::frame::{corrupt, placed_once, put_header, put_prefixed, put_u32, same_config, Reader};
 use crate::window::{WindowedStore, WireRing};
 use exaloglog::compress::decompress;
-use exaloglog::{EllConfig, EllError, ExaLogLog};
+use exaloglog::{EllError, ExaLogLog};
 
 const MAGIC: &[u8; 4] = b"ELLW";
 const VERSION: u8 = 2;
@@ -55,18 +56,11 @@ const MAX_WIRE_EPOCHS: usize = 1 << 16;
 const TIER_LIVE: u8 = 0;
 const TIER_WARM: u8 = 1;
 
-fn corrupt(reason: String) -> EllError {
-    EllError::CorruptSerialization { reason }
-}
-
 fn push_sketch(out: &mut Vec<u8>, sketch: &ExaLogLog) {
     if sketch.is_empty() {
-        out.extend_from_slice(&0u32.to_le_bytes());
+        put_u32(out, 0);
     } else {
-        let payload = sketch.to_bytes();
-        let len = u32::try_from(payload.len()).expect("sketch payload exceeds u32 wire field");
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&payload);
+        put_prefixed(out, &sketch.to_bytes());
     }
 }
 
@@ -82,21 +76,13 @@ impl WindowedStore {
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let entries = self.wire_entries();
         let mut out = Vec::with_capacity(HEADER_LEN + entries.len() * 64);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        let cfg = self.config();
-        out.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p()]);
-        let window =
-            u32::try_from(self.epoch_window()).expect("epoch window exceeds u32 wire field");
-        out.extend_from_slice(&window.to_le_bytes());
-        let shards = u32::try_from(self.shard_count()).expect("shard count exceeds u32 wire field");
-        out.extend_from_slice(&shards.to_le_bytes());
+        put_header(&mut out, MAGIC, VERSION, self.config());
+        put_u32(&mut out, self.epoch_window());
+        put_u32(&mut out, self.shard_count());
         out.extend_from_slice(&self.current_epoch().to_le_bytes());
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
         for (key, entry) in &entries {
-            let key_len = u32::try_from(key.len()).expect("key length exceeds u32 wire field");
-            out.extend_from_slice(&key_len.to_le_bytes());
-            out.extend_from_slice(key.as_bytes());
+            put_prefixed(&mut out, key.as_bytes());
             match entry {
                 WireRing::Live { retired, slots } => {
                     out.push(TIER_LIVE);
@@ -107,24 +93,11 @@ impl WindowedStore {
                 }
                 WireRing::Warm { retired, slots } => {
                     out.push(TIER_WARM);
-                    match retired {
-                        Some(payload) => {
-                            let len = u32::try_from(payload.len())
-                                .expect("warm payload exceeds u32 wire field");
-                            out.extend_from_slice(&len.to_le_bytes());
-                            out.extend_from_slice(payload);
-                        }
-                        None => out.extend_from_slice(&0u32.to_le_bytes()),
-                    }
-                    let slot_count =
-                        u32::try_from(slots.len()).expect("slot count exceeds u32 wire field");
-                    out.extend_from_slice(&slot_count.to_le_bytes());
+                    put_prefixed(&mut out, retired.as_deref().unwrap_or_default());
+                    put_u32(&mut out, slots.len());
                     for (epoch, payload) in slots {
                         out.extend_from_slice(&epoch.to_le_bytes());
-                        let len = u32::try_from(payload.len())
-                            .expect("warm payload exceeds u32 wire field");
-                        out.extend_from_slice(&len.to_le_bytes());
-                        out.extend_from_slice(payload);
+                        put_prefixed(&mut out, payload);
                     }
                 }
             }
@@ -143,27 +116,11 @@ impl WindowedStore {
     ///
     /// Fails on any structural defect of the snapshot bytes.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, EllError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "{} bytes is shorter than the ELLW header",
-                bytes.len()
-            )));
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(corrupt("bad magic".into()));
-        }
-        let version = bytes[4];
-        if version == 0 || version > VERSION {
-            return Err(corrupt(format!("unsupported snapshot version {version}")));
-        }
-        let cfg = EllConfig::new(bytes[5], bytes[6], bytes[7])?;
-        let epochs =
-            u32::from_le_bytes(bytes[8..12].try_into().expect("header length checked")) as usize;
-        let shards =
-            u32::from_le_bytes(bytes[12..16].try_into().expect("header length checked")) as usize;
-        let current = u64::from_le_bytes(bytes[16..24].try_into().expect("header length checked"));
-        let entry_count =
-            u64::from_le_bytes(bytes[24..32].try_into().expect("header length checked"));
+        let (version, cfg, mut r) = Reader::open(bytes, MAGIC, HEADER_LEN, 1..=VERSION)?;
+        let epochs = r.u32()?;
+        let shards = r.u32()?;
+        let current = r.u64()?;
+        let entry_count = r.u64()?;
         if shards > MAX_WIRE_SHARDS {
             return Err(corrupt(format!(
                 "implausible shard count {shards} (limit {MAX_WIRE_SHARDS})"
@@ -183,103 +140,57 @@ impl WindowedStore {
         } else {
             4 + 1 + 4 + 4
         };
-        if entry_count > (bytes.len() as u64 - HEADER_LEN as u64) / min_entry_bytes.max(1) {
+        if entry_count > r.remaining() as u64 / min_entry_bytes.max(1) {
             return Err(corrupt(format!(
                 "entry count {entry_count} cannot fit in {} payload bytes",
-                bytes.len() - HEADER_LEN
+                r.remaining()
             )));
         }
         let store = WindowedStore::new(shards, cfg, epochs)?;
 
-        let mut cursor = HEADER_LEN;
-        let take = |cursor: &mut usize, len: usize| -> Result<&[u8], EllError> {
-            let end = cursor
-                .checked_add(len)
-                .ok_or_else(|| corrupt("entry length overflows the snapshot".into()))?;
-            if end > bytes.len() {
-                return Err(corrupt(format!(
-                    "entry at offset {cursor} runs past the end ({len} bytes needed)"
-                )));
-            }
-            let slice = &bytes[*cursor..end];
-            *cursor = end;
-            Ok(slice)
-        };
-        let take_u32 = |cursor: &mut usize| -> Result<usize, EllError> {
-            let raw = take(cursor, 4)?;
-            Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
-        };
-        let take_u64 = |cursor: &mut usize| -> Result<u64, EllError> {
-            let raw = take(cursor, 8)?;
-            Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-        };
-        let take_sketch = |cursor: &mut usize, what: &str| -> Result<ExaLogLog, EllError> {
-            let len = take_u32(cursor)?;
-            if len == 0 {
+        let take_sketch = |r: &mut Reader<'_>, what: &str| -> Result<ExaLogLog, EllError> {
+            let payload = r.prefixed()?;
+            if payload.is_empty() {
                 return Ok(ExaLogLog::new(cfg));
             }
-            let sketch = ExaLogLog::from_bytes(take(cursor, len)?)
-                .map_err(|e| corrupt(format!("{what}: {e}")))?;
-            if sketch.config() != &cfg {
-                return Err(corrupt(format!(
-                    "{what}: configuration {} does not match header {cfg}",
-                    sketch.config()
-                )));
-            }
+            let sketch =
+                ExaLogLog::from_bytes(payload).map_err(|e| corrupt(format!("{what}: {e}")))?;
+            same_config(sketch.config(), &cfg, || what.to_string())?;
             Ok(sketch)
         };
         // Warm payloads are kept verbatim, but still validated: they
         // must decompress to the header configuration.
-        let take_warm = |cursor: &mut usize, what: &str| -> Result<Box<[u8]>, EllError> {
-            let len = take_u32(cursor)?;
-            let payload = take(cursor, len)?;
+        let warm = |payload: &[u8], what: &str| -> Result<Box<[u8]>, EllError> {
             let sketch = decompress(payload).map_err(|e| corrupt(format!("{what}: {e}")))?;
-            if sketch.config() != &cfg {
-                return Err(corrupt(format!(
-                    "{what}: configuration {} does not match header {cfg}",
-                    sketch.config()
-                )));
-            }
-            Ok(payload.to_vec().into_boxed_slice())
+            same_config(sketch.config(), &cfg, || what.to_string())?;
+            Ok(payload.into())
         };
         for i in 0..entry_count {
-            let key_len = take_u32(&mut cursor)?;
-            let key = core::str::from_utf8(take(&mut cursor, key_len)?)
-                .map_err(|e| corrupt(format!("entry {i}: key is not UTF-8: {e}")))?
-                .to_string();
+            let key = r.key(i)?;
             let tier = if version == 1 {
                 TIER_LIVE
             } else {
-                take(&mut cursor, 1)?[0]
+                r.take(1)?[0]
             };
             let placed = match tier {
                 TIER_LIVE => {
-                    let retired = take_sketch(&mut cursor, "retired union")?;
+                    let retired = take_sketch(&mut r, "retired union")?;
                     let mut slots = Vec::with_capacity(epochs);
                     for slot in 0..epochs {
-                        slots.push(take_sketch(
-                            &mut cursor,
-                            &format!("entry {i} ({key:?}) slot {slot}"),
-                        )?);
+                        let what = format!("entry {i} ({key:?}) slot {slot}");
+                        slots.push(take_sketch(&mut r, &what)?);
                     }
                     store.place_ring(key.clone(), retired, slots)
                 }
                 TIER_WARM => {
-                    let retired_len_at = cursor;
-                    let retired =
-                        if u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes"))
-                            == 0
-                        {
-                            None
-                        } else {
-                            // Rewind: take_warm reads its own length prefix.
-                            cursor = retired_len_at;
-                            Some(take_warm(
-                                &mut cursor,
-                                &format!("entry {i} ({key:?}) warm retired union"),
-                            )?)
-                        };
-                    let slot_count = take_u32(&mut cursor)?;
+                    let retired = match r.prefixed()? {
+                        [] => None,
+                        payload => Some(warm(
+                            payload,
+                            &format!("entry {i} ({key:?}) warm retired union"),
+                        )?),
+                    };
+                    let slot_count = r.u32()?;
                     if slot_count > epochs {
                         return Err(corrupt(format!(
                             "entry {i} ({key:?}): {slot_count} warm slots exceed the ring size {epochs}"
@@ -288,16 +199,15 @@ impl WindowedStore {
                     let mut slots = Vec::with_capacity(slot_count);
                     let mut last_epoch = None;
                     for s in 0..slot_count {
-                        let epoch = take_u64(&mut cursor)?;
+                        let epoch = r.u64()?;
                         if epoch > current || last_epoch.is_some_and(|prev| epoch <= prev) {
                             return Err(corrupt(format!(
                                 "entry {i} ({key:?}): warm slot {s} epoch {epoch} out of order or beyond current {current}"
                             )));
                         }
                         last_epoch = Some(epoch);
-                        let payload =
-                            take_warm(&mut cursor, &format!("entry {i} ({key:?}) warm slot {s}"))?;
-                        slots.push((epoch, payload));
+                        let what = format!("entry {i} ({key:?}) warm slot {s}");
+                        slots.push((epoch, warm(r.prefixed()?, &what)?));
                     }
                     store.place_warm_ring(key.clone(), retired, slots)
                 }
@@ -307,16 +217,9 @@ impl WindowedStore {
                     )));
                 }
             };
-            if !placed {
-                return Err(corrupt(format!("duplicate key {key:?}")));
-            }
+            placed_once(placed, &key)?;
         }
-        if cursor != bytes.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the last entry",
-                bytes.len() - cursor
-            )));
-        }
+        r.finish()?;
         // Set last: also stamps restored live rings as freshly touched.
         store.set_current_epoch(current);
         Ok(store)
@@ -327,6 +230,7 @@ impl WindowedStore {
 mod tests {
     use super::*;
     use ell_hash::SplitMix64;
+    use exaloglog::EllConfig;
 
     fn populated() -> WindowedStore {
         let store = WindowedStore::new(4, EllConfig::new(2, 16, 6).unwrap(), 3).unwrap();

@@ -24,10 +24,11 @@
 //! reuses the identical bytes). Payloads are self-describing by magic,
 //! so no version bump is needed for the compressed form.
 
+use crate::frame::{corrupt, placed_once, put_header, put_prefixed, put_u32, same_config, Reader};
 use crate::store::EllStore;
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::compress::decompress;
-use exaloglog::{EllConfig, EllError};
+use exaloglog::EllError;
 
 const MAGIC: &[u8; 4] = b"ELLK";
 const VERSION: u8 = 1;
@@ -37,10 +38,6 @@ const HEADER_LEN: usize = 4 + 1 + 3 + 1 + 4 + 8;
 /// allocates the shard table before reading payloads, so a crafted
 /// header must not force a huge allocation out of a tiny snapshot.
 const MAX_WIRE_SHARDS: usize = 1 << 16;
-
-fn corrupt(reason: String) -> EllError {
-    EllError::CorruptSerialization { reason }
-}
 
 impl EllStore {
     /// Serializes the whole store in the `ELLK` container format.
@@ -52,22 +49,13 @@ impl EllStore {
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let entries = self.snapshot_payloads();
         let mut out = Vec::with_capacity(HEADER_LEN + entries.len() * 64);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        let cfg = self.config();
-        out.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p()]);
+        put_header(&mut out, MAGIC, VERSION, self.config());
         out.push(self.token_parameter() as u8); // cast: v ≤ 58 by construction (checked in with_token_parameter)
-        let shards = u32::try_from(self.shard_count()).expect("shard count exceeds u32 wire field");
-        out.extend_from_slice(&shards.to_le_bytes());
+        put_u32(&mut out, self.shard_count());
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
         for (key, payload) in &entries {
-            let key_len = u32::try_from(key.len()).expect("key length exceeds u32 wire field");
-            out.extend_from_slice(&key_len.to_le_bytes());
-            out.extend_from_slice(key.as_bytes());
-            let payload_len =
-                u32::try_from(payload.len()).expect("payload length exceeds u32 wire field");
-            out.extend_from_slice(&payload_len.to_le_bytes());
-            out.extend_from_slice(payload);
+            put_prefixed(&mut out, key.as_bytes());
+            put_prefixed(&mut out, payload);
         }
         out
     }
@@ -84,96 +72,36 @@ impl EllStore {
     ///
     /// Fails on any structural defect of the snapshot bytes.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, EllError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "{} bytes is shorter than the ELLK header",
-                bytes.len()
-            )));
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(corrupt("bad magic".into()));
-        }
-        if bytes[4] != VERSION {
-            return Err(corrupt(format!(
-                "unsupported snapshot version {}",
-                bytes[4]
-            )));
-        }
-        let cfg = EllConfig::new(bytes[5], bytes[6], bytes[7])?;
-        let v = u32::from(bytes[8]);
-        let shards =
-            u32::from_le_bytes(bytes[9..13].try_into().expect("header length checked")) as usize;
-        let entry_count = u64::from_le_bytes(
-            bytes[13..21]
-                .try_into()
-                .expect("header length checked above"),
-        );
+        let (_, cfg, mut r) = Reader::open(bytes, MAGIC, HEADER_LEN, VERSION..=VERSION)?;
+        let v = u32::from(r.take(1)?[0]);
+        let shards = r.u32()?;
+        let entry_count = r.u64()?;
         if shards > MAX_WIRE_SHARDS {
             return Err(corrupt(format!(
                 "implausible shard count {shards} (limit {MAX_WIRE_SHARDS})"
             )));
         }
         let store = EllStore::with_token_parameter(shards, cfg, v)?;
-
-        let mut cursor = HEADER_LEN;
-        let take = |cursor: &mut usize, len: usize| -> Result<&[u8], EllError> {
-            let end = cursor
-                .checked_add(len)
-                .ok_or_else(|| corrupt("entry length overflows the snapshot".into()))?;
-            if end > bytes.len() {
-                return Err(corrupt(format!(
-                    "entry at offset {cursor} runs past the end ({len} bytes needed)"
-                )));
-            }
-            let slice = &bytes[*cursor..end];
-            *cursor = end;
-            Ok(slice)
-        };
-        let take_u32 = |cursor: &mut usize| -> Result<usize, EllError> {
-            let raw = take(cursor, 4)?;
-            Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
-        };
         for i in 0..entry_count {
-            let key_len = take_u32(&mut cursor)?;
-            let key = core::str::from_utf8(take(&mut cursor, key_len)?)
-                .map_err(|e| corrupt(format!("entry {i}: key is not UTF-8: {e}")))?
-                .to_string();
-            let sketch_len = take_u32(&mut cursor)?;
-            let payload = take(&mut cursor, sketch_len)?;
-            if store.key_tier(&key).is_some() {
-                return Err(corrupt(format!("duplicate key {key:?}")));
-            }
-            if payload.len() >= 4 && &payload[..4] == b"ELLZ" {
+            let key = r.key(i)?;
+            let payload = r.prefixed()?;
+            let what = || format!("entry {i} ({key:?})");
+            let placed = if payload.starts_with(b"ELLZ") {
                 // A warm entry: validate it decompresses to the header
                 // configuration, then keep the compressed payload as a
                 // warm slot — a re-snapshot reuses it verbatim.
-                let dense = decompress(payload)
-                    .map_err(|e| corrupt(format!("entry {i} ({key:?}): {e}")))?;
-                if dense.config() != &cfg {
-                    return Err(corrupt(format!(
-                        "entry {i} ({key:?}): configuration {} does not match header {cfg}",
-                        dense.config()
-                    )));
-                }
-                store.place_warm(key, payload.to_vec());
+                let dense = decompress(payload).map_err(|e| corrupt(format!("{}: {e}", what())))?;
+                same_config(dense.config(), &cfg, what)?;
+                store.place_warm(key.clone(), payload.to_vec())
             } else {
                 let sketch = AdaptiveExaLogLog::from_bytes(payload)
-                    .map_err(|e| corrupt(format!("entry {i} ({key:?}): {e}")))?;
-                if sketch.config() != &cfg {
-                    return Err(corrupt(format!(
-                        "entry {i} ({key:?}): configuration {} does not match header {cfg}",
-                        sketch.config()
-                    )));
-                }
-                store.place(key, sketch);
-            }
+                    .map_err(|e| corrupt(format!("{}: {e}", what())))?;
+                same_config(sketch.config(), &cfg, what)?;
+                store.place(key.clone(), sketch)
+            };
+            placed_once(placed, &key)?;
         }
-        if cursor != bytes.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the last entry",
-                bytes.len() - cursor
-            )));
-        }
+        r.finish()?;
         Ok(store)
     }
 }
@@ -182,6 +110,7 @@ impl EllStore {
 mod tests {
     use super::*;
     use ell_hash::SplitMix64;
+    use exaloglog::EllConfig;
 
     fn populated() -> EllStore {
         let store = EllStore::new(4, EllConfig::new(2, 16, 6).unwrap()).unwrap();

@@ -1,6 +1,7 @@
 //! Protocol 2: session handoff-queue drain vs barrier flush.
 //!
-//! The real code: `EllStore::flush_group_ref` tries the shard write
+//! The real code: `Sharded::flush_group_ref` (the sharded core under
+//! both `EllStore` and `WindowedStore`) tries the shard write
 //! lock opportunistically; on contention it parks `(key, delta)` clones
 //! on the shard's `Mutex<Vec<…>>` handoff queue, and once the queue
 //! depth reaches `HANDOFF_SOFT_CAPACITY` the enqueuer itself performs a
