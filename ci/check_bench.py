@@ -31,9 +31,14 @@ For every file the script enforces, in order:
    ``swar_merge_speedup_min`` must be ``>= --min-kernel-speedup``
    (default 1.2: the portable SWAR kernel must beat the scalar scan on
    the gated overlap/sparse merge shapes; the SWAR gate is used because
-   it is portable and reliable even on a one-core CI machine, while
-   AVX2 rows stay informational — emulated AVX2 can be slower than
-   scalar).
+   it is portable and runs on every CI machine, while AVX2 rows stay
+   informational because not every runner has AVX2).
+6. **Coefficient-scan gate.** The registers bench must also carry
+   ``scan_speedup_min`` — the worst speedup, over its configurations, of
+   an estimate through the streaming ML coefficient scan against one
+   through Algorithm 3's per-bit reference loop — and it must be
+   ``>= --min-scan-speedup`` (default 2.0). A registers report without
+   it is malformed and fails.
 
 One summary line is printed per file; the exit status is non-zero if any
 check failed anywhere.
@@ -70,6 +75,7 @@ def check_file(
     min_warm_reduction: float,
     max_hot_ratio: float,
     min_kernel_speedup: float,
+    min_scan_speedup: float = 2.0,
 ) -> bool:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -186,6 +192,25 @@ def check_file(
                 f"(gate {min_kernel_speedup:.2f})"
             )
 
+    scan_note = ""
+    if kernel_equivalence is not None:
+        scan_min = _number(data, "scan_speedup_min", failures)
+        if scan_min is None:
+            if "scan_speedup_min" not in data:
+                failures.append(
+                    "kernel_equivalence present but scan_speedup_min missing"
+                )
+        elif scan_min < min_scan_speedup:
+            failures.append(
+                f"scan_speedup_min {scan_min:.3f} is below "
+                f"the {min_scan_speedup:.2f} gate"
+            )
+        else:
+            scan_note = (
+                f"coefficient scan >= {scan_min:.2f}x reference "
+                f"(gate {min_scan_speedup:.2f})"
+            )
+
     name = data.get("bench", "?")
     if failures:
         print(f"FAIL {path} (bench {name}): " + "; ".join(failures))
@@ -199,6 +224,8 @@ def check_file(
         summary += f", query flatness {flatness:.2f}x (bound {bound}x)"
     if kernel_note:
         summary += f"; {kernel_note}"
+    if scan_note:
+        summary += f"; {scan_note}"
     if tier_note:
         summary += f"; {tier_note}"
     if scaling_note:
@@ -214,6 +241,7 @@ def main() -> int:
     parser.add_argument("--min-warm-reduction", type=float, default=2.0)
     parser.add_argument("--max-hot-ratio", type=float, default=1.10)
     parser.add_argument("--min-kernel-speedup", type=float, default=1.2)
+    parser.add_argument("--min-scan-speedup", type=float, default=2.0)
     opts = parser.parse_args()
     ok = True
     for path in opts.files:
@@ -223,6 +251,7 @@ def main() -> int:
             opts.min_warm_reduction,
             opts.max_hot_ratio,
             opts.min_kernel_speedup,
+            opts.min_scan_speedup,
         )
     return 0 if ok else 1
 

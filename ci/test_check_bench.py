@@ -29,6 +29,7 @@ def run_check(payload, **kwargs):
         "min_warm_reduction": 2.0,
         "max_hot_ratio": 1.10,
         "min_kernel_speedup": 1.2,
+        "min_scan_speedup": 2.0,
     }
     defaults.update(kwargs)
     with tempfile.NamedTemporaryFile(
@@ -161,6 +162,7 @@ class KernelGateTests(unittest.TestCase):
                 "bench": "registers",
                 "kernel_equivalence": "ok",
                 "swar_merge_speedup_min": 1.8,
+                "scan_speedup_min": 3.0,
             }
         )
         self.assertTrue(ok)
@@ -192,6 +194,48 @@ class KernelGateTests(unittest.TestCase):
         )
         self.assertFalse(ok)
         self.assertIn("expected a number", out)
+
+
+class ScanGateTests(unittest.TestCase):
+    def base(self, **extra):
+        payload = {
+            "bench": "registers",
+            "kernel_equivalence": "ok",
+            "swar_merge_speedup_min": 1.8,
+            "scan_speedup_min": 3.0,
+        }
+        payload.update(extra)
+        return payload
+
+    def test_good_scan_speedup_passes(self):
+        ok, out = run_check(self.base())
+        self.assertTrue(ok)
+        self.assertIn("coefficient scan >= 3.00x", out)
+
+    def test_low_scan_speedup_fails(self):
+        ok, out = run_check(self.base(scan_speedup_min=1.4))
+        self.assertFalse(ok)
+        self.assertIn("scan_speedup_min 1.400 is below the 2.00 gate", out)
+
+    def test_missing_scan_speedup_fails_loudly(self):
+        payload = self.base()
+        del payload["scan_speedup_min"]
+        ok, out = run_check(payload)
+        self.assertFalse(ok)
+        self.assertIn("scan_speedup_min missing", out)
+
+    def test_mistyped_scan_speedup_fails(self):
+        ok, out = run_check(self.base(scan_speedup_min=True))
+        self.assertFalse(ok)
+        self.assertIn("expected a number", out)
+
+    def test_scan_gate_threshold_is_configurable(self):
+        ok, _ = run_check(self.base(scan_speedup_min=1.4), min_scan_speedup=1.2)
+        self.assertTrue(ok)
+
+    def test_other_benches_need_no_scan_speedup(self):
+        ok, _ = run_check({"bench": "store", "equivalence": "ok"})
+        self.assertTrue(ok)
 
 
 if __name__ == "__main__":

@@ -18,9 +18,14 @@
 //!   storage versus the per-register reference merge on generic storage,
 //!   across four union shapes (sparse-into-dense, mostly-overlapping
 //!   fold, disjoint dense, self-merge).
-//! * **estimate** — repeated single-insert-then-estimate through the
-//!   incrementally cached ML coefficients versus re-running the
-//!   Algorithm 3 register scan per estimate.
+//! * **estimate** — repeated single-insert-then-estimate four ways:
+//!   through the incrementally cached ML coefficients
+//!   (`cached_ns_per_op`), through a fresh streaming coefficient scan
+//!   (`scan_ns_per_op`), through the atomic sketch's in-place word scan
+//!   (`atomic_ns_per_op`), and through Algorithm 3's per-bit reference
+//!   loop (`reference_scan_ns_per_op`). The JSON records
+//!   `scan_speedup_min`, the worst reference-over-scan ratio, which CI
+//!   gates at ≥ 2.
 //! * **kernels** — the steady-state word-run merge scan under each scan
 //!   kernel the hardware supports (SWAR and AVX2) versus the scalar
 //!   reference kernel, on the scan-dominated shapes (sparse incoming,
@@ -28,12 +33,13 @@
 //!   `kernel_equivalence` and the minimum SWAR speedup over the gated
 //!   shapes so CI can require both.
 //!
-//! Every comparison asserts that both paths produce bit-identical
+//! Every comparison asserts that all its paths produce bit-identical
 //! serialized state / estimates; the JSON records the verdict under
 //! `"equivalence"` and the process exits non-zero on any mismatch, which
 //! is what lets CI gate on it.
 
 use ell_bench::hashes;
+use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::kernels::{self, Kernel};
 use exaloglog::theory::bias_correction_c;
 use exaloglog::{ml, EllConfig, ExaLogLog};
@@ -139,13 +145,24 @@ fn min_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The scan-based reference estimate (the pre-cache behavior): one full
-/// Algorithm 3 register scan plus the Newton solve and bias correction.
-fn estimate_by_scan(s: &ExaLogLog) -> f64 {
+/// A from-scratch estimate (the pre-cache behavior): the coefficients
+/// of `s` rebuilt by `coefficients`, then the Newton solve and bias
+/// correction.
+fn estimate_from(s: &ExaLogLog, coefficients: impl Fn(&ExaLogLog) -> ml::MlCoefficients) -> f64 {
     let cfg = s.config();
     let m = cfg.m() as f64;
-    let raw = ml::ml_estimate_from_coefficients(&s.coefficients_scan(), m);
+    let raw = ml::ml_estimate_from_coefficients(&coefficients(s), m);
     raw / (1.0 + bias_correction_c(cfg.t(), cfg.d()) / m)
+}
+
+/// The one-pass streaming scan (`ml::CoefficientScan`).
+fn estimate_by_scan(s: &ExaLogLog) -> f64 {
+    estimate_from(s, ExaLogLog::coefficients_scan)
+}
+
+/// Algorithm 3's per-indicator-bit loop (`ml::coefficients_reference`).
+fn estimate_by_reference(s: &ExaLogLog) -> f64 {
+    estimate_from(s, |s| ml::coefficients_reference(s.config(), s.registers()))
 }
 
 /// One merge-shape measurement: time `acc.clone + merge(b)` for the
@@ -288,6 +305,8 @@ fn main() {
     let mut kernel_ok = true;
     // Minimum SWAR speedup over the gated scan-dominated shapes.
     let mut swar_min = f64::INFINITY;
+    // Minimum streaming-scan speedup over the per-bit reference.
+    let mut scan_min = f64::INFINITY;
 
     let configs: Vec<(&str, EllConfig)> = vec![
         ("ull8", EllConfig::ull(args.p).unwrap()),
@@ -447,37 +466,65 @@ fn main() {
         swar_min = swar_min.min(su_sparse).min(su_overlap);
         let kernel_rows = [row_sparse, row_overlap, row_self];
 
-        // ---- estimate: cached coefficients vs per-call scan ----------
+        // ---- estimate: cache, streaming scan, atomic word scan and the
+        // per-bit reference, each after one fresh insert ---------------
         let est_iters = if args.quick { 2000 } else { 10_000 };
         let est_stream = hashes(est_iters, 0xE57);
         let per_est = 1e9 / est_iters as f64;
-        let mut warm = dense.clone();
-        let cached_ns = median_secs(args.reps, || {
+        // Minimum over reps, as for the kernel rows: the scan-speedup
+        // gate compares two sub-10 µs paths and needs the least
+        // noise-contaminated figure of each.
+        let time_estimates = |estimate: &dyn Fn(&mut ExaLogLog, u64) -> f64| {
+            let mut warm = dense.clone();
+            let ns = min_secs(args.reps.max(5), || {
+                let mut acc = 0.0;
+                for &h in &est_stream {
+                    acc += estimate(&mut warm, h);
+                }
+                std::hint::black_box(acc);
+            }) * per_est;
+            (ns, warm)
+        };
+        let (cached_ns, warm) = time_estimates(&|s, h| {
+            s.insert_hash(h);
+            s.estimate()
+        });
+        let (scan_ns, _) = time_estimates(&|s, h| {
+            s.insert_hash(h);
+            estimate_by_scan(s)
+        });
+        let (reference_ns, _) = time_estimates(&|s, h| {
+            s.insert_hash(h);
+            estimate_by_reference(s)
+        });
+        let atomic = AtomicExaLogLog::from_sketch(&dense);
+        let atomic_ns = min_secs(args.reps.max(5), || {
             let mut acc = 0.0;
             for &h in &est_stream {
-                warm.insert_hash(h);
-                acc += warm.estimate();
-            }
-            std::hint::black_box(acc);
-        }) * per_est;
-        let mut warm_scan = dense.clone();
-        let scan_ns = median_secs(args.reps, || {
-            let mut acc = 0.0;
-            for &h in &est_stream {
-                warm_scan.insert_hash(h);
-                acc += estimate_by_scan(&warm_scan);
+                atomic.insert_hash(h);
+                acc += atomic.estimate();
             }
             std::hint::black_box(acc);
         }) * per_est;
         let est_speedup = scan_ns / cached_ns;
+        let scan_speedup = reference_ns / scan_ns;
+        scan_min = scan_min.min(scan_speedup);
         println!(
-            "    estimate             cached {cached_ns:9.1} ns/op   scan {scan_ns:9.1} ns/op   speedup {est_speedup:5.2}x"
+            "    estimate             cached {cached_ns:9.1} ns/op   scan {scan_ns:9.1} ns/op   \
+             atomic {atomic_ns:9.1} ns/op   reference {reference_ns:9.1} ns/op   \
+             scan speedup {scan_speedup:5.2}x"
         );
         {
-            // The two sketches consumed identical streams; cached and
-            // scan estimates must agree to the bit.
-            if warm.to_bytes() != warm_scan.to_bytes()
-                || warm.estimate().to_bits() != estimate_by_scan(&warm).to_bits()
+            // Every path consumed the same stream; all four estimates and
+            // all three coefficient sets must agree to the bit.
+            let reference = ml::coefficients_reference(&cfg, warm.registers());
+            let want = estimate_by_reference(&warm).to_bits();
+            if warm.coefficients_scan() != reference
+                || atomic.coefficients() != reference
+                || atomic.snapshot() != warm
+                || warm.estimate().to_bits() != want
+                || estimate_by_scan(&warm).to_bits() != want
+                || atomic.estimate().to_bits() != want
             {
                 eprintln!("bench_registers: estimate equivalence MISMATCH for {name}");
                 ok = false;
@@ -491,7 +538,8 @@ fn main() {
              \"merge\": {{\n{}\n      }},\n      \
              \"kernels\": {{\n{}\n      }},\n      \
              \"estimate\": {{\"cached_ns_per_op\": {cached_ns:.1}, \"scan_ns_per_op\": {scan_ns:.1}, \
-             \"speedup\": {est_speedup:.3}}}\n    }}",
+             \"atomic_ns_per_op\": {atomic_ns:.1}, \"reference_scan_ns_per_op\": {reference_ns:.1}, \
+             \"speedup\": {est_speedup:.3}, \"scan_speedup\": {scan_speedup:.3}}}\n    }}",
             cfg.register_width(),
             merge_rows.join(",\n"),
             kernel_rows.join(",\n")
@@ -507,7 +555,8 @@ fn main() {
          \"hashes_per_run\": {},\n  \"reps\": {},\n  \"unit\": \"ns_per_op\",\n  \
          \"kernel\": \"{}\",\n  \"kernels_available\": [{}],\n  \"kernel_precision_p\": {},\n  \
          \"equivalence\": \"{}\",\n  \"kernel_equivalence\": \"{}\",\n  \
-         \"swar_merge_speedup_min\": {:.3},\n  \"configs\": [\n{}\n  ]\n}}\n",
+         \"swar_merge_speedup_min\": {:.3},\n  \"scan_speedup_min\": {:.3},\n  \
+         \"configs\": [\n{}\n  ]\n}}\n",
         if args.quick { "quick" } else { "full" },
         args.p,
         args.hashes,
@@ -518,6 +567,7 @@ fn main() {
         if ok { "ok" } else { "mismatch" },
         if kernel_ok { "ok" } else { "mismatch" },
         swar_min,
+        scan_min,
         blocks.join(",\n")
     );
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {

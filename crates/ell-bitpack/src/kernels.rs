@@ -295,7 +295,7 @@ mod avx2 {
     /// `b[j] == 0`.
     #[inline]
     pub(super) fn pair_masks(a: &[u8], b: &[u8], byte0: usize) -> (u32, u32) {
-        // The intrinsics below read exactly the 32 bytes holding words
+        // The intrinsics read exactly the 32 bytes holding words
         // [byte0/8, byte0/8 + 4) of both `WordView`s; the dispatcher
         // must never hand us a block that overhangs either buffer.
         debug_assert!(
@@ -307,13 +307,26 @@ mod avx2 {
         );
         let a32: &[u8; 32] = a[byte0..byte0 + 32].try_into().expect("32-byte block");
         let b32: &[u8; 32] = b[byte0..byte0 + 32].try_into().expect("32-byte block");
-        // SAFETY: both pointers reference 32 in-bounds bytes (checked by
-        // the slice conversions above); `loadu` has no alignment
-        // requirement; AVX2 availability is guaranteed by kernel
-        // normalization (see module docs).
+        // SAFETY: AVX2 availability is guaranteed by `Kernel::normalize`'s
+        // runtime detection, which every scan entry point applies before
+        // an `Avx2` value can reach this module.
+        unsafe { pair_masks_avx2(a32, b32) }
+    }
+
+    /// The AVX2 body of [`pair_masks`].
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the CPU must support AVX2; callers reach this only after
+    /// `Kernel::normalize`'s runtime detection selected the AVX2 kernel.
+    #[target_feature(enable = "avx2")]
+    unsafe fn pair_masks_avx2(a: &[u8; 32], b: &[u8; 32]) -> (u32, u32) {
+        // SAFETY: both pointers reference 32 in-bounds bytes (the array
+        // types say so); `loadu` has no alignment requirement; AVX2 is
+        // enabled for this function.
         unsafe {
-            let va = _mm256_loadu_si256(a32.as_ptr().cast::<__m256i>());
-            let vb = _mm256_loadu_si256(b32.as_ptr().cast::<__m256i>());
+            let va = _mm256_loadu_si256(a.as_ptr().cast::<__m256i>());
+            let vb = _mm256_loadu_si256(b.as_ptr().cast::<__m256i>());
             let eq = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(va, vb)));
             let zero = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
                 vb,
@@ -335,10 +348,22 @@ mod avx2 {
             v.len()
         );
         let v32: &[u8; 32] = v[byte0..byte0 + 32].try_into().expect("32-byte block");
-        // SAFETY: 32 in-bounds bytes; unaligned load; AVX2 guaranteed by
-        // kernel normalization.
+        // SAFETY: AVX2 guaranteed by `Kernel::normalize`'s runtime
+        // detection (see `pair_masks`).
+        unsafe { zero_mask_avx2(v32) }
+    }
+
+    /// The AVX2 body of [`zero_mask`].
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the CPU must support AVX2; callers reach this only after
+    /// `Kernel::normalize`'s runtime detection selected the AVX2 kernel.
+    #[target_feature(enable = "avx2")]
+    unsafe fn zero_mask_avx2(v: &[u8; 32]) -> u32 {
+        // SAFETY: 32 in-bounds bytes; unaligned load; AVX2 enabled.
         unsafe {
-            let vv = _mm256_loadu_si256(v32.as_ptr().cast::<__m256i>());
+            let vv = _mm256_loadu_si256(v.as_ptr().cast::<__m256i>());
             _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
                 vv,
                 _mm256_setzero_si256(),
@@ -349,8 +374,21 @@ mod avx2 {
     /// Whether every 32-byte block of `chunks` is zero.
     #[inline]
     pub(super) fn all_zero_blocks(chunks: core::slice::ChunksExact<'_, u8>) -> bool {
+        // SAFETY: AVX2 guaranteed by `Kernel::normalize`'s runtime
+        // detection (see `pair_masks`).
+        unsafe { all_zero_blocks_avx2(chunks) }
+    }
+
+    /// The AVX2 body of [`all_zero_blocks`].
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the CPU must support AVX2; callers reach this only after
+    /// `Kernel::normalize`'s runtime detection selected the AVX2 kernel.
+    #[target_feature(enable = "avx2")]
+    unsafe fn all_zero_blocks_avx2(chunks: core::slice::ChunksExact<'_, u8>) -> bool {
         // SAFETY: each chunk is exactly 32 in-bounds bytes; unaligned
-        // loads; AVX2 guaranteed by kernel normalization.
+        // loads; AVX2 enabled.
         unsafe {
             let mut acc = _mm256_setzero_si256();
             for c in chunks {

@@ -376,6 +376,14 @@ impl PackedArray {
         let bit = i * self.width as usize;
         let byte = bit >> 3;
         let shift = (bit & 7) as u32;
+        // Fields of at most 57 bits fit one 8-byte load at any bit
+        // offset within the first byte.
+        if self.width <= 57 {
+            if let Some(chunk) = self.bits.get(byte..byte + 8) {
+                let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                return (word >> shift) & mask(self.width);
+            }
+        }
         // A field of up to 64 bits starting at an arbitrary bit offset spans
         // at most 9 bytes; a 16-byte little-endian window covers it. The
         // window is clipped at the buffer end (missing bytes read as zero,
@@ -667,6 +675,50 @@ impl Iterator for PackedIter<'_> {
                 }
             }
         }
+    }
+
+    /// Internal iteration (`for_each`, `sum`, …) decides the backend
+    /// once and then runs one tight loop, instead of re-dispatching on
+    /// every `next`.
+    #[inline]
+    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        match self.0 {
+            PackedIterInner::W8(it) => {
+                for &b in it {
+                    acc = f(acc, u64::from(b));
+                }
+            }
+            PackedIterInner::W16(it) => {
+                for c in it {
+                    acc = f(acc, u64::from(u16::from_le_bytes([c[0], c[1]])));
+                }
+            }
+            PackedIterInner::W24(it) => {
+                for c in it {
+                    acc = f(
+                        acc,
+                        u64::from(c[0]) | u64::from(c[1]) << 8 | u64::from(c[2]) << 16,
+                    );
+                }
+            }
+            PackedIterInner::W32(it) => {
+                for c in it {
+                    acc = f(acc, u64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
+                }
+            }
+            PackedIterInner::W64(it) => {
+                for c in it {
+                    acc = f(acc, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+                }
+            }
+            PackedIterInner::Generic { arr, next } => {
+                for i in next..arr.len {
+                    acc = f(acc, arr.get_generic(i));
+                }
+            }
+        }
+        acc
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -26,10 +26,13 @@
 //!
 //! * [`WindowedStore::estimate_window`]`(key, k)` clones `suffix[k − 2]`
 //!   into a reusable scratch sketch and merges the live current-epoch
-//!   slot on top (`k = 1` clones the empty template instead — the same
-//!   code path, so latency is flat in k). No per-query heap allocation
-//!   happens; the `bench_window` binary counts allocations to prove it,
-//!   and emits a `query_flat_vs_k` verdict that CI gates.
+//!   slot on top (`k = 1` clones the empty template instead). On a
+//!   suffix-chain hit that is one clone and one merge for any k; a query
+//!   that finds the chain short (after a rotation or a late event) first
+//!   builds the missing entries, up to k − 1 more clone-and-merge steps.
+//!   No per-query heap allocation happens; the `bench_window` binary
+//!   counts allocations to prove it, and emits a `query_flat_vs_k`
+//!   verdict that CI gates.
 //! * [`WindowedStore::advance`] rotates the window forward: each epoch
 //!   leaving the window folds into the retired union through the
 //!   word-level merge scan, and its slot is recycled with `clone_from`
@@ -784,15 +787,20 @@ impl WindowedStore {
     /// the last `last_k` epochs — `(current − last_k, current]` — or
     /// `None` if the key has never been observed.
     ///
-    /// **O(1) in the window length:** the scratch sketch is
+    /// **Cost contract:** on a suffix-chain hit the scratch sketch is
     /// `clone_from(suffix[k − 2])` plus one word-level
     /// [`ExaLogLog::merge_from`] of the live current-epoch slot — one
     /// clone and one merge regardless of k (k = 1 clones the empty
-    /// template through the same path, so latency is flat in k). No
-    /// per-query heap allocation happens, including lazy suffix
-    /// rebuilds after rotation or late events (entries are rebuilt in
-    /// place). Every answer stays bit-identical to the offline
-    /// per-register merge of the same k epochs.
+    /// template through the same path). A rotation or a late event
+    /// truncates the chain; the next query that needs a missing entry
+    /// rebuilds it under the shard write lock, which costs up to k − 1
+    /// further `clone_from` + `merge_from` steps (each entry is rebuilt
+    /// at most once per truncation, so the cost amortizes over the
+    /// queries that follow). Measured latency therefore grows with k in
+    /// proportion to the share of queries that miss the chain. No
+    /// per-query heap allocation happens, including the rebuilds
+    /// (entries are rebuilt in place). Every answer stays bit-identical
+    /// to the offline per-register merge of the same k epochs.
     ///
     /// # Panics
     ///

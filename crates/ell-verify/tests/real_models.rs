@@ -28,17 +28,41 @@ fn small_cfg() -> EllConfig {
 
 #[test]
 fn real_atomic_sketch_concurrent_insert_and_snapshot() {
-    let report = ell_verify::explore(&Config::default().random_only(150).seed(11), || {
+    const HASHES: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF_CAFE_F00D];
+    // The estimate of every legal sub-state: each subset of the inserts.
+    let legal: Vec<u64> = [&HASHES[..0], &HASHES[..1], &HASHES[1..], &HASHES[..]]
+        .iter()
+        .map(|subset| {
+            let mut s = exaloglog::ExaLogLog::new(small_cfg());
+            subset.iter().for_each(|&h| {
+                s.insert_hash(h);
+            });
+            s.estimate().to_bits()
+        })
+        .collect();
+    let report = ell_verify::explore(&Config::default().random_only(150).seed(11), move || {
         let sketch = Arc::new(AtomicExaLogLog::new(small_cfg()));
         let s = Arc::clone(&sketch);
         let ingester = shuttle::thread::spawn(move || {
-            s.insert_hash(0x9E37_79B9_7F4A_7C15);
-            s.insert_hash(0xDEAD_BEEF_CAFE_F00D);
+            for h in HASHES {
+                s.insert_hash(h);
+            }
         });
         let s = Arc::clone(&sketch);
-        let snapshotter = shuttle::thread::spawn(move || s.snapshot());
+        // The word-scan estimate races the inserts too: it reads the
+        // atomic words in place, with no snapshot in between.
+        let snapshotter = shuttle::thread::spawn(move || (s.snapshot(), s.estimate()));
         ingester.join().expect("ingester");
-        let mid = snapshotter.join().expect("snapshotter");
+        let (mid, mid_estimate) = snapshotter.join().expect("snapshotter");
+        assert!(
+            legal.contains(&mid_estimate.to_bits()),
+            "mid-ingest word-scan estimate {mid_estimate} matches no sub-state"
+        );
+        assert_eq!(
+            sketch.estimate().to_bits(),
+            legal[3],
+            "word-scan estimate after the join differs from the sequential one"
+        );
 
         // The mid-flight snapshot must be a sub-state: merging it into
         // the final state changes nothing (join order-freedom).

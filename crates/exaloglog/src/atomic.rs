@@ -34,13 +34,14 @@
 //!         });
 //!     }
 //! });
-//! let estimate = sketch.snapshot().estimate();
+//! let estimate = sketch.estimate();
 //! assert!((estimate / 100_000.0 - 1.0).abs() < 0.1);
 //! ```
 
 use crate::config::{EllConfig, EllError};
+use crate::ml::{self, MlCoefficients};
 use crate::registers;
-use crate::sketch::ExaLogLog;
+use crate::sketch::{bias_corrected, ExaLogLog};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use ell_hash::Hasher64;
 
@@ -169,6 +170,49 @@ impl AtomicExaLogLog {
         let mut out = ExaLogLog::new(self.cfg);
         self.for_each_nonzero(|i, v| out.set_register_unchecked(i, v));
         out
+    }
+
+    /// The log-likelihood coefficients (α, β) of the current registers,
+    /// read straight from the packed atomic words by one
+    /// [`ml::CoefficientScan`] pass — no [`ExaLogLog`] snapshot is
+    /// allocated. Zero words count as empty registers in bulk; padding
+    /// lanes are never visited.
+    ///
+    /// Loads are individually atomic with the same consistency caveat as
+    /// [`AtomicExaLogLog::snapshot`]: under concurrent inserts the result
+    /// is the coefficient set of some legal sub-state, and with no
+    /// writer running it equals `snapshot().coefficients()` exactly.
+    #[must_use]
+    pub fn coefficients(&self) -> MlCoefficients {
+        let mut scan = ml::CoefficientScan::new(&self.cfg);
+        let field = ell_bitpack::mask(self.width);
+        let width = self.width;
+        scan.extend(
+            self.words
+                .iter()
+                // ordering: Relaxed — the same argument as
+                // `for_each_nonzero`: each word load is untorn and
+                // registers are monotone, so the words observed form a
+                // legal sub-state; nothing non-atomic depends on them.
+                .map(|word| word.load(Ordering::Relaxed))
+                .filter(|&bits| bits != 0)
+                // Padding lanes are never written, so they decode as
+                // empty registers, which the scan drops.
+                .flat_map(|bits| {
+                    (0..self.regs_per_word as u32).map(move |lane| (bits >> (lane * width)) & field)
+                }),
+        );
+        scan.finish()
+    }
+
+    /// The bias-corrected ML estimate of the current state, computed
+    /// from [`AtomicExaLogLog::coefficients`] without a snapshot. With no
+    /// concurrent writer it is bit-identical to
+    /// `snapshot().estimate()`.
+    #[must_use]
+    pub fn estimate(&self) -> f64 {
+        let raw = ml::ml_estimate_from_coefficients(&self.coefficients(), self.cfg.m() as f64);
+        bias_corrected(&self.cfg, raw)
     }
 
     /// Calls `f(index, value)` for every currently nonzero register,

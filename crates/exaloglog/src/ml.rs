@@ -7,20 +7,68 @@
 //! ln L(n) = −(n/m)·α + Σ_u β_u · ln(1 − e^(−n/(m·2^u)))
 //!
 //! [`compute_coefficients`] extracts (α, β) from the registers with pure
-//! integer arithmetic (Algorithm 3); [`solve_ml_equation`] finds the ML
-//! root with the monotone, concave-safe Newton iteration of Algorithm 8,
-//! which converges in a handful of iterations from the Lemma B.3 starting
+//! integer arithmetic; [`solve_ml_equation`] finds the ML root with the
+//! monotone, concave-safe Newton iteration of Algorithm 8, which
+//! converges in a handful of iterations from the Lemma B.3 starting
 //! point and never overshoots.
 //!
-//! Because each register's contribution to (α, β) is independent of every
-//! other register and all arithmetic is exact (α is tracked as the integer
-//! α·2^64, β as counts), the coefficients can also be maintained
-//! *incrementally*: [`add_register`]/[`remove_register`] fold one
-//! register's contribution in or out, and [`apply_register_change`]
-//! updates a coefficient set in O(1) for the common indicator-bit-only
-//! register change. The incremental path is bit-identical to a fresh
-//! [`compute_coefficients`] scan — `ExaLogLog` keeps a cached coefficient
-//! set up to date through it and asserts the equivalence in debug builds.
+//! # One contribution per register
+//!
+//! Algorithm 3 visits every indicator bit of every register: an unset
+//! bit for update value k adds ρ(k) = 2^(−φ(k)) to α, a set bit adds one
+//! to β\[φ(k)\]. This module computes the same numbers without visiting
+//! unset bits. For a register with maximum u ≥ 1 and window start
+//! k₀ = max(u − d, 1), the α terms of the maximum and of a window in
+//! which *no* bit is set telescope through the tail sums ω:
+//!
+//! ω(u) + Σ_{k=k₀}^{u−1} ρ(k) = ω(k₀ − 1) − ρ(u)
+//!
+//! because ω(k₀ − 1) = Σ_{k ≥ k₀} ρ(k) (the truncated distribution sums
+//! to one, so ω(0) = 1 and registers with u ≤ d get α term 1 − ρ(u)). Every
+//! bit that *is* set then moves its ρ(k) from α to β\[φ(k)\]. Treating
+//! the maximum itself as one more set bit (at position d, value u), a
+//! register contributes
+//!
+//! α += ω(k₀ − 1) − Σ_{k ∈ S} 2^(−φ(k)),   β\[φ(k)\] += 1 for k ∈ S,
+//!
+//! where S holds u and the update values of the set window bits. A
+//! register with u = 0 contributes α += 1. Registers with 1 ≤ u ≤ d carry
+//! a sentinel bit at d − u (update value 0, outside the window); it is
+//! masked off before S is read.
+//!
+//! Consecutive update values share a level φ in runs of 2^t, and every
+//! value at or above the 64 − p cap shares the last level. The
+//! incremental path below therefore reads S one populated level at a
+//! time (a `trailing_zeros` + `count_ones` pair), never one step per
+//! bit. The streaming [`CoefficientScan`] goes further: it shifts S so
+//! each level fills one aligned lane of 2^t bits, counts all lanes at
+//! once with a SWAR popcount, and adds every lane to its level's counter
+//! without a branch. The ω term depends on u alone, so the scan only
+//! tallies maxima and weighs each distinct u once at the end; registers
+//! of at most 8 bits are tallied by whole value instead.
+//!
+//! # Exactness
+//!
+//! α is kept as the integer α·2^64 in a `u128`. Every ω(x) and every
+//! 2^(−φ(k)) is a dyadic rational whose denominator divides 2^(64−p)
+//! (φ is capped at 64 − p), so each term is an exact integer at that
+//! scale, and m ≤ 2^26 registers of value at most 1 cannot overflow.
+//! [`CoefficientScan`] keeps u64 counts of S per level and u32 tallies
+//! of maxima; the sums Σ_u tally_u·ω(k₀(u) − 1) and
+//! Σ_j count_j·2^(64−j) are formed once, in
+//! [`CoefficientScan::finish`]. Integer addition is associative, so the
+//! result is bit-identical to Algorithm 3 in any register order and
+//! under any grouping — [`coefficients_reference`] keeps the per-bit
+//! loop as the oracle the tests compare against.
+//!
+//! Because each register's contribution is independent of every other
+//! register, the coefficients can also be maintained *incrementally*:
+//! [`add_register`]/[`remove_register`] fold one register's contribution
+//! in or out, and [`apply_register_change`] updates a coefficient set in
+//! O(levels touched) for the common indicator-bit-only register change.
+//! `ExaLogLog` keeps a cached coefficient set up to date through it and
+//! asserts the equivalence with [`coefficients_reference`] in debug
+//! builds.
 //!
 //! The same machinery estimates from *hash-token* sets (Algorithm 7 uses
 //! m = 1) and from PCSA states, since those likelihoods share shape (15).
@@ -67,8 +115,303 @@ pub fn empty_coefficients(m: usize) -> MlCoefficients {
     }
 }
 
-/// Extracts the log-likelihood coefficients from register values
-/// (Algorithm 3 of the paper).
+/// The α·2^64 term of a register with maximum `u` before any observed
+/// value is subtracted: ω(k₀ − 1) with k₀ = max(u − d, 1), which is
+/// ω(0) = 1 for every u ≤ d + 1 (the empty register included).
+#[inline]
+fn base_alpha(cfg: &EllConfig, u: u64) -> u128 {
+    let (num, e) = omega_exact(cfg, u.saturating_sub(u64::from(cfg.d()) + 1));
+    u128::from(num) << (64 - e)
+}
+
+/// The set S of a register with maximum `u` as a bit mask: bit b stands
+/// for update value u − d + b. Bit d is the maximum; window bits for
+/// update values below 1 (the sentinel of a register with u ≤ d and the
+/// clear bits beneath it) are masked off, which leaves nothing at all
+/// for u = 0. Branch-free: d ≤ 58, so every shift is in range.
+#[inline(always)]
+fn observed_bits(r: u64, d: u32, u: u64) -> u64 {
+    let below_window = (u64::from(d) + 1).saturating_sub(u);
+    ((r & ((1u64 << d) - 1)) | (1u64 << d)) & (u64::MAX << below_window)
+}
+
+/// Calls `f(j, count)` for every level j = φ(k) among the update values
+/// k marked in `bits` (bit b ↔ k = u − d + b), with the number of marked
+/// values at that level. One `trailing_zeros` + `count_ones` per
+/// populated level: values k with equal ⌊(k−1)/2^t⌋ share a level, as do
+/// all values at or above the 64 − p cap.
+#[inline]
+fn for_each_level(cfg: &EllConfig, u: u64, mut bits: u64, mut f: impl FnMut(usize, u64)) {
+    let t = cfg.t();
+    let d = u64::from(cfg.d());
+    let cap = 64 - u64::from(cfg.p());
+    while bits != 0 {
+        let b = u64::from(bits.trailing_zeros());
+        let k = u + b - d;
+        let run = (k - 1) >> t;
+        let level = u64::from(t) + 1 + run;
+        let group = if level >= cap {
+            bits
+        } else {
+            // Values k ..= (run + 1)·2^t share this level; bits below b
+            // are already clear.
+            let end = b + ((run + 1) << t) + 1 - k;
+            bits & ell_bitpack::mask(end as u32)
+        };
+        f(level.min(cap) as usize, u64::from(group.count_ones()));
+        bits &= !group;
+    }
+}
+
+/// Low-half lane masks of the SWAR lane popcount: after step s, every
+/// lane of 2^(s+1) bits holds the number of set bits it covers.
+const LANE_LOW: [u64; 3] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F,
+];
+
+/// Slots of [`CoefficientScan`]'s per-level counts. A level j lands in
+/// slot j − t − 1 + ⌈(d + 1)/2^t⌉, which stays below
+/// (65 − p − t) + 2·⌈(d + 1)/2^t⌉ < 192 for every valid (t, d, p).
+const SLOTS: usize = 192;
+
+/// Register maxima tallied by [`CoefficientScan`] when t ≤ 3: u never
+/// exceeds (65 − p − t)·2^t ≤ 480 there.
+const MAXIMA: usize = 512;
+
+/// Registers at most this wide (HLL, EHLL, ULL: ≤ 256 values) are
+/// tallied by value and folded once per distinct value.
+const NARROW_WIDTH: u32 = 8;
+
+/// Streaming coefficient accumulator: feed it register values in any
+/// order through [`Extend`], then [`finish`](CoefficientScan::finish).
+/// Registers never fed count as empty, so callers that skip zero words
+/// need not feed them. See the [module docs](self) for the derivation.
+///
+/// For t ≤ 3 (every named configuration) a register's observed bits are
+/// shifted so that each level occupies one aligned lane of 2^t bits
+/// (d + 2^t < 64 always holds there); a SWAR popcount counts every lane
+/// at once, each lane is added to its level's slot without a branch,
+/// and the register's α term is deferred to a tally of maxima that
+/// [`finish`](CoefficientScan::finish) weighs once per distinct u.
+/// Registers of at most 8 bits are tallied by value instead, so each
+/// distinct value is decoded once. Larger t walks the populated levels
+/// of each register one at a time.
+#[derive(Debug, Clone)]
+pub struct CoefficientScan {
+    cfg: EllConfig,
+    alpha_times_2_64: u128,
+    /// Observed update values per level, indexed by slot (see [`SLOTS`]).
+    observed: [u64; SLOTS],
+    /// Nonempty registers per maximum u (t ≤ 3).
+    maxima: [u32; MAXIMA],
+    /// Registers per value (register width ≤ [`NARROW_WIDTH`]).
+    values: [u32; 1 << NARROW_WIDTH],
+    nonempty: usize,
+    /// ⌈(d + 1)/2^t⌉: the slot of level t + 1.
+    lift: u64,
+    /// lift·2^t − d − 1: added to u, it gives the slot-aligned position
+    /// of observed bit 0 (update value u − d).
+    bias: u64,
+    /// Lanes of 2^t bits covering d + 2^t bits (aligned path).
+    lanes: usize,
+}
+
+impl CoefficientScan {
+    /// An accumulator for sketches of configuration `cfg` with no
+    /// register fed yet.
+    #[inline]
+    #[must_use]
+    pub fn new(cfg: &EllConfig) -> Self {
+        let t = cfg.t();
+        let d = u64::from(cfg.d());
+        let lift = (d + 1).div_ceil(1 << t);
+        CoefficientScan {
+            cfg: *cfg,
+            alpha_times_2_64: 0,
+            observed: [0; SLOTS],
+            maxima: [0; MAXIMA],
+            values: [0; 1 << NARROW_WIDTH],
+            nonempty: 0,
+            lift,
+            bias: (lift << t) - d - 1,
+            lanes: ((d + (1 << t) - 1) >> t) as usize + 1,
+        }
+    }
+
+    /// Adds a run of register values wider than [`NARROW_WIDTH`] (zeros
+    /// included). Dispatches on the configuration once per call, so the
+    /// per-register loop runs with every shape constant known.
+    fn push_all(&mut self, registers: &[u64]) {
+        match self.cfg.t() {
+            0 => self.count_aligned_all::<0>(registers),
+            1 => self.count_aligned_all::<1>(registers),
+            2 => self.count_aligned_all::<2>(registers),
+            3 => self.count_aligned_all::<3>(registers),
+            _ => {
+                for &r in registers {
+                    self.count_by_level(r);
+                }
+            }
+        }
+    }
+
+    fn count_aligned_all<const T: u32>(&mut self, registers: &[u64]) {
+        let shape = self.shape();
+        for &r in registers {
+            shape.count::<T>(&mut self.observed, &mut self.maxima, r, 1);
+        }
+    }
+
+    fn shape(&self) -> LaneShape {
+        LaneShape {
+            d: u32::from(self.cfg.d()),
+            bias: self.bias,
+            lanes: self.lanes,
+        }
+    }
+
+    /// One register for any t: one step per populated level.
+    fn count_by_level(&mut self, r: u64) {
+        let d = u32::from(self.cfg.d());
+        let u = r >> d;
+        if u == 0 {
+            return;
+        }
+        self.nonempty += 1;
+        self.alpha_times_2_64 += base_alpha(&self.cfg, u);
+        let (lift, t) = (self.lift as usize, usize::from(self.cfg.t()));
+        let observed = &mut self.observed;
+        for_each_level(&self.cfg, u, observed_bits(r, d, u), |j, c| {
+            // j ≥ t + 1, so the slot lands at or above `lift`.
+            observed[j + lift - t - 1] += c;
+        });
+    }
+
+    /// The coefficients of the registers fed so far, with every
+    /// register not fed counted as empty.
+    #[inline]
+    #[must_use]
+    pub fn finish(mut self) -> MlCoefficients {
+        let width = self.cfg.register_width();
+        if width <= NARROW_WIDTH {
+            let shape = self.shape();
+            for r in 0..1usize << width {
+                let copies = self.values[r];
+                if copies > 0 {
+                    let (observed, maxima) = (&mut self.observed, &mut self.maxima);
+                    match self.cfg.t() {
+                        0 => shape.count::<0>(observed, maxima, r as u64, copies),
+                        1 => shape.count::<1>(observed, maxima, r as u64, copies),
+                        _ => shape.count::<2>(observed, maxima, r as u64, copies),
+                    }
+                }
+            }
+        }
+        let max_u = self.cfg.max_update_value() as usize;
+        for (u, &copies) in self.maxima.iter().enumerate().take(max_u + 1).skip(1) {
+            if copies > 0 {
+                self.nonempty += copies as usize;
+                self.alpha_times_2_64 += u128::from(copies) * base_alpha(&self.cfg, u as u64);
+            }
+        }
+        let m = self.cfg.m();
+        debug_assert!(
+            self.nonempty <= m,
+            "{} nonempty registers, m = {m}",
+            self.nonempty
+        );
+        let cap = 64 - u64::from(self.cfg.p());
+        let level_of_slot0 = u64::from(self.cfg.t()) + 1;
+        let mut coeffs = empty_coefficients(m - self.nonempty);
+        coeffs.alpha_times_2_64 += self.alpha_times_2_64;
+        // The highest slot any register can reach: its maximum at bit d.
+        let top_slot = (max_u as u64 + u64::from(self.cfg.d()) + self.bias) >> self.cfg.t();
+        for (slot, &c) in self.observed.iter().enumerate().take(top_slot as usize + 1) {
+            if c > 0 {
+                // Slots below `lift` would hold update values k < 1.
+                debug_assert!(slot as u64 >= self.lift, "count in slot {slot}");
+                let j = (slot as u64 + level_of_slot0 - self.lift).min(cap) as usize;
+                coeffs.beta[j] += c;
+                coeffs.alpha_times_2_64 -= u128::from(c) << (64 - j);
+            }
+        }
+        coeffs
+    }
+}
+
+impl Extend<u64> for CoefficientScan {
+    /// Adds every register value `registers` yields (zeros included) in
+    /// one internal-iteration pass: ≤ 8-bit registers go straight into
+    /// the value tally; wider ones are compacted, without a branch, into
+    /// short runs of nonempty values (empty registers are what
+    /// [`finish`](CoefficientScan::finish) assumes for every register
+    /// never fed).
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, registers: I) {
+        if self.cfg.register_width() <= NARROW_WIDTH {
+            let values = &mut self.values;
+            registers.into_iter().for_each(|r| values[r as usize] += 1);
+            return;
+        }
+        let mut buf = [0u64; 64];
+        let mut filled = 0usize;
+        registers.into_iter().for_each(|r| {
+            buf[filled] = r;
+            filled += usize::from(r != 0);
+            if filled == buf.len() {
+                self.push_all(&buf);
+                filled = 0;
+            }
+        });
+        self.push_all(&buf[..filled]);
+    }
+}
+
+/// The per-configuration constants of [`CoefficientScan`]'s aligned
+/// path, copied out of the accumulator so the per-register loop keeps
+/// them in registers.
+#[derive(Debug, Clone, Copy)]
+struct LaneShape {
+    d: u32,
+    bias: u64,
+    lanes: usize,
+}
+
+impl LaneShape {
+    /// Counts `copies` registers of value `r` for t = `T` ≤ 3 without a
+    /// data-dependent branch: an empty register tallies maximum 0 (which
+    /// [`CoefficientScan::finish`] skips) and has no observed bits.
+    #[inline(always)]
+    fn count<const T: u32>(
+        self,
+        observed: &mut [u64; SLOTS],
+        maxima: &mut [u32; MAXIMA],
+        r: u64,
+        copies: u32,
+    ) {
+        let u = r >> self.d;
+        maxima[u as usize] += copies;
+        let bits = observed_bits(r, self.d, u);
+        // Bit b stands for update value k = u − d + b, at level
+        // t + 1 + ⌊(k − 1)/2^t⌋; shifting by the low t bits of
+        // k − 1 + lift·2^t puts every level in its own lane.
+        let pos = u + self.bias;
+        let mut counts = bits << (pos & ((1u64 << T) - 1));
+        for (s, &low) in LANE_LOW.iter().enumerate().take(T as usize) {
+            counts = (counts & low) + ((counts >> (1u32 << s)) & low);
+        }
+        let lane = (1u64 << (1u32 << T)) - 1;
+        for slot in &mut observed[(pos >> T) as usize..][..self.lanes] {
+            *slot += u64::from(copies) * (counts & lane);
+            counts >>= 1u32 << T;
+        }
+    }
+}
+
+/// Extracts the log-likelihood coefficients from register values —
+/// Algorithm 3's result, computed one register at a time by
+/// [`CoefficientScan`].
 ///
 /// `registers` must yield exactly the m = 2^p register values of a sketch
 /// with configuration `cfg`. All contributions to α are integer multiples
@@ -78,44 +421,71 @@ pub fn compute_coefficients(
     cfg: &EllConfig,
     registers: impl Iterator<Item = u64>,
 ) -> MlCoefficients {
+    let mut scan = CoefficientScan::new(cfg);
+    let mut count = 0usize;
+    scan.extend(registers.inspect(|_| {
+        if cfg!(debug_assertions) {
+            count += 1;
+        }
+    }));
+    debug_assert_eq!(count, cfg.m(), "register count must equal m");
+    scan.finish()
+}
+
+/// Algorithm 3 as the paper states it: one step per indicator bit, with
+/// a `u128` add for every unset bit. Bit-identical to
+/// [`compute_coefficients`] and kept only as the oracle that tests,
+/// benchmarks and the debug-build cache checks compare against.
+#[must_use]
+pub fn coefficients_reference(
+    cfg: &EllConfig,
+    registers: impl Iterator<Item = u64>,
+) -> MlCoefficients {
     let mut coeffs = empty_coefficients(0);
     let mut count = 0usize;
     for r in registers {
         count += 1;
-        add_register(&mut coeffs, cfg, r);
+        add_register_reference(&mut coeffs, cfg, r);
     }
     debug_assert_eq!(count, cfg.m(), "register count must equal m");
     coeffs
 }
 
-/// Adds one register's contribution to a coefficient set (one loop
-/// iteration of Algorithm 3). Exact integer arithmetic: folding the same
-/// registers in any order yields bit-identical coefficients.
-pub fn add_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
+/// One loop iteration of Algorithm 3 (see [`coefficients_reference`]).
+fn add_register_reference(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
     let d = cfg.d();
-    let p = u32::from(cfg.p());
     let u = r >> d;
     let (num, e) = omega_exact(cfg, u);
-    debug_assert!(e <= 64 - p);
     coeffs.alpha_times_2_64 += u128::from(num) << (64 - e);
     if u >= 1 {
         coeffs.beta[phi(cfg, u) as usize] += 1;
     }
-    if u >= 2 {
-        let k_lo = if u > u64::from(d) {
-            u - u64::from(d)
+    let k_lo = if u > u64::from(d) {
+        u - u64::from(d)
+    } else {
+        1
+    };
+    for k in k_lo..u {
+        let j = phi(cfg, k);
+        if r & (1u64 << (u64::from(d) - (u - k))) == 0 {
+            coeffs.alpha_times_2_64 += 1u128 << (64 - j);
         } else {
-            1
-        };
-        for k in k_lo..u {
-            let j = phi(cfg, k);
-            if r & (1u64 << (u64::from(d) - (u - k))) == 0 {
-                coeffs.alpha_times_2_64 += 1u128 << (64 - j);
-            } else {
-                coeffs.beta[j as usize] += 1;
-            }
+            coeffs.beta[j as usize] += 1;
         }
     }
+}
+
+/// Adds one register's contribution to a coefficient set. Exact integer
+/// arithmetic: folding the same registers in any order yields
+/// bit-identical coefficients.
+pub fn add_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
+    let d = u32::from(cfg.d());
+    let u = r >> d;
+    coeffs.alpha_times_2_64 += base_alpha(cfg, u);
+    for_each_level(cfg, u, observed_bits(r, d, u), |j, c| {
+        coeffs.alpha_times_2_64 -= u128::from(c) << (64 - j);
+        coeffs.beta[j] += c;
+    });
 }
 
 /// Removes one register's contribution from a coefficient set — the exact
@@ -126,31 +496,14 @@ pub fn add_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
 /// Panics (debug) if the coefficients never contained this register's
 /// contribution (β underflow).
 pub fn remove_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
-    let d = cfg.d();
+    let d = u32::from(cfg.d());
     let u = r >> d;
-    let (num, e) = omega_exact(cfg, u);
-    coeffs.alpha_times_2_64 -= u128::from(num) << (64 - e);
-    if u >= 1 {
-        let j = phi(cfg, u) as usize;
-        debug_assert!(coeffs.beta[j] > 0, "β[{j}] underflow");
-        coeffs.beta[j] -= 1;
-    }
-    if u >= 2 {
-        let k_lo = if u > u64::from(d) {
-            u - u64::from(d)
-        } else {
-            1
-        };
-        for k in k_lo..u {
-            let j = phi(cfg, k);
-            if r & (1u64 << (u64::from(d) - (u - k))) == 0 {
-                coeffs.alpha_times_2_64 -= 1u128 << (64 - j);
-            } else {
-                debug_assert!(coeffs.beta[j as usize] > 0, "β[{j}] underflow");
-                coeffs.beta[j as usize] -= 1;
-            }
-        }
-    }
+    for_each_level(cfg, u, observed_bits(r, d, u), |j, c| {
+        debug_assert!(coeffs.beta[j] >= c, "β[{j}] underflow");
+        coeffs.beta[j] -= c;
+        coeffs.alpha_times_2_64 += u128::from(c) << (64 - j);
+    });
+    coeffs.alpha_times_2_64 -= base_alpha(cfg, u);
 }
 
 /// Replaces one register's contribution: the coefficients transition from
@@ -158,10 +511,11 @@ pub fn remove_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
 ///
 /// The dominant change shape — the maximum is unchanged and one or more
 /// indicator bits were added (`registers::update` with a value inside the
-/// window, or a same-maximum merge) — is applied in O(bits added): each
-/// freshly seen value moves its probability mass 2^(−φ(k)) from the
-/// unseen side (α) to the observed side (β). Any change of the register
-/// maximum falls back to [`remove_register`] + [`add_register`].
+/// window, or a same-maximum merge) — folds in only the added bits, one
+/// step per bit (an insert adds exactly one): each freshly seen value
+/// moves its probability mass 2^(−φ(k)) from the unseen side (α) to the
+/// observed side (β). Any change of the register maximum falls back to
+/// [`remove_register`] + [`add_register`].
 pub fn apply_register_change(coeffs: &mut MlCoefficients, cfg: &EllConfig, old: u64, new: u64) {
     let d = cfg.d();
     let u = new >> d;
@@ -171,8 +525,7 @@ pub fn apply_register_change(coeffs: &mut MlCoefficients, cfg: &EllConfig, old: 
         let mut added = new ^ old;
         while added != 0 {
             let b = u64::from(added.trailing_zeros());
-            let k = u - (u64::from(d) - b);
-            let j = phi(cfg, k);
+            let j = phi(cfg, u - (u64::from(d) - b));
             coeffs.alpha_times_2_64 -= 1u128 << (64 - j);
             coeffs.beta[j as usize] += 1;
             added &= added - 1;
@@ -289,6 +642,77 @@ mod tests {
 
     fn cfg(t: u8, d: u8, p: u8) -> EllConfig {
         EllConfig::new(t, d, p).unwrap()
+    }
+
+    /// Every configuration shape the identity tests sweep: t ∈ 0..=6
+    /// (t ≤ 3 takes the scan's aligned-lane path, larger t its per-level
+    /// walk), d ∈ {0, 1, 2, 9, 20, 24} plus the widest d for t, and a
+    /// small and a large p (the large one caps φ at 64 − p well inside
+    /// the update-value range).
+    fn sweep() -> impl Iterator<Item = EllConfig> {
+        (0..=6u8).flat_map(|t| {
+            [0u8, 1, 2, 9, 20, 24, 58 - t]
+                .into_iter()
+                .flat_map(move |d| [2u8, 11, 26].into_iter().map(move |p| cfg(t, d, p)))
+        })
+    }
+
+    #[test]
+    fn telescoped_alpha_equals_per_bit_sum_for_every_u() {
+        // ω(u) + Σ_{k=k₀}^{u−1} 2^(−φ(k)) = ω(k₀ − 1) − 2^(−φ(u)), exactly,
+        // with k₀ = max(u − d, 1); u = 0 contributes ω(0) = 1.
+        for c in sweep() {
+            let d = u64::from(c.d());
+            assert_eq!(base_alpha(&c, 1), 1u128 << 64, "{c}: ω(0) = 1");
+            for u in 1..=c.max_update_value() {
+                let (num, e) = omega_exact(&c, u);
+                let k0 = if u > d { u - d } else { 1 };
+                let per_bit = (u128::from(num) << (64 - e))
+                    + (k0..u).map(|k| 1u128 << (64 - phi(&c, k))).sum::<u128>();
+                let telescoped = base_alpha(&c, u) - (1u128 << (64 - phi(&c, u)));
+                assert_eq!(per_bit, telescoped, "{c}, u = {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn register_contribution_equals_algorithm_3_for_every_u() {
+        // For each u: the all-unset window, the all-set window and a
+        // pseudo-random window (the sentinel forced on and the bits
+        // below it cleared when u ≤ d, as `registers` guarantees).
+        let mut rng = ell_hash::SplitMix64::new(0x7E1E);
+        for c in sweep() {
+            let d = c.d();
+            let low = ell_bitpack::mask(u32::from(d));
+            for u in 0..=c.max_update_value() {
+                let valid = |bits: u64| {
+                    if u == 0 {
+                        0
+                    } else if u <= u64::from(d) {
+                        let sentinel = u64::from(d) - u;
+                        (u << d)
+                            | ((bits | (1 << sentinel)) & low & !ell_bitpack::mask(sentinel as u32))
+                    } else {
+                        (u << d) | (bits & low)
+                    }
+                };
+                for r in [valid(0), valid(u64::MAX), valid(rng.next_u64())] {
+                    assert!(crate::registers::is_valid(&c, r), "{c}: {r:#x}");
+                    let mut want = empty_coefficients(0);
+                    add_register_reference(&mut want, &c, r);
+                    let mut got = empty_coefficients(0);
+                    add_register(&mut got, &c, r);
+                    assert_eq!(got, want, "{c}: add_register({r:#x})");
+                    let mut scan = CoefficientScan::new(&c);
+                    scan.extend([r]);
+                    let mut streamed = scan.finish();
+                    streamed.alpha_times_2_64 -= ((c.m() - 1) as u128) << 64;
+                    assert_eq!(streamed, want, "{c}: scan of {r:#x}");
+                    remove_register(&mut got, &c, r);
+                    assert_eq!(got, empty_coefficients(0), "{c}: remove_register({r:#x})");
+                }
+            }
+        }
     }
 
     #[test]

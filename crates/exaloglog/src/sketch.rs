@@ -27,6 +27,15 @@ const MAGIC: &[u8; 4] = b"ELL1";
 /// Serialization header size: magic + (t, d, p).
 const HEADER_LEN: usize = 7;
 
+/// Applies the first-order bias correction of equations (19) and (4) to
+/// a raw ML estimate — shared by every dense estimate so the sequential
+/// and atomic sketches agree to the bit.
+#[inline]
+pub(crate) fn bias_corrected(cfg: &EllConfig, raw: f64) -> f64 {
+    let c = theory::bias_correction_c(cfg.t(), cfg.d());
+    raw / (1.0 + c / cfg.m() as f64)
+}
+
 /// A record of one register mutation, as reported by
 /// [`ExaLogLog::insert_hash_tracked`]. The martingale estimator consumes
 /// these to maintain the state-change probability incrementally.
@@ -63,8 +72,9 @@ pub struct RegisterChange {
 /// in exact integer arithmetic, so [`ExaLogLog::estimate`] solves the ML
 /// equation directly — O(number of populated β levels) — instead of
 /// rescanning all m registers. The cached coefficients are always
-/// bit-identical to a fresh [`ExaLogLog::coefficients_scan`] (asserted in
-/// debug builds). Bulk register overwrites that bypass the update
+/// bit-identical to a fresh [`ExaLogLog::coefficients_scan`] and to
+/// Algorithm 3's per-bit loop ([`ml::coefficients_reference`], asserted
+/// in debug builds). Bulk register overwrites that bypass the update
 /// algebra (the entropy decoder, atomic snapshots) drop the cache; in
 /// that window `estimate` transparently falls back to the scan, and
 /// [`ExaLogLog::refresh_coefficients`] restores cached operation.
@@ -124,7 +134,7 @@ impl ExaLogLog {
     }
 
     /// Builds a sketch around an already validated register array,
-    /// computing the coefficient cache with one Algorithm 3 scan.
+    /// computing the coefficient cache with one coefficient scan.
     fn from_valid_parts(cfg: EllConfig, regs: PackedArray) -> Self {
         let coeffs = Some(Box::new(ml::compute_coefficients(&cfg, regs.iter())));
         ExaLogLog { cfg, regs, coeffs }
@@ -502,16 +512,15 @@ impl ExaLogLog {
     /// distinct inserted elements (equations (19) and (4)).
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        let c = theory::bias_correction_c(self.cfg.t(), self.cfg.d());
-        self.estimate_ml_raw() / (1.0 + c / self.cfg.m() as f64)
+        bias_corrected(&self.cfg, self.estimate_ml_raw())
     }
 
     /// The raw ML estimate n̂_ML without the first-order bias correction.
     ///
     /// Solves the ML equation from the incrementally maintained
     /// coefficients in O(populated β levels); only a sketch whose cache
-    /// was dropped by a raw register overwrite pays the O(m·d)
-    /// Algorithm 3 scan.
+    /// was dropped by a raw register overwrite pays one O(m)
+    /// [`ExaLogLog::coefficients_scan`].
     #[must_use]
     pub fn estimate_ml_raw(&self) -> f64 {
         let m = self.cfg.m() as f64;
@@ -519,7 +528,7 @@ impl ExaLogLog {
             Some(c) => {
                 debug_assert_eq!(
                     **c,
-                    self.coefficients_scan(),
+                    ml::coefficients_reference(&self.cfg, self.regs.iter()),
                     "cached ML coefficients diverged from the Algorithm 3 scan"
                 );
                 ml::ml_estimate_from_coefficients(c, m)
@@ -537,7 +546,7 @@ impl ExaLogLog {
             Some(c) => {
                 debug_assert_eq!(
                     **c,
-                    self.coefficients_scan(),
+                    ml::coefficients_reference(&self.cfg, self.regs.iter()),
                     "cached ML coefficients diverged from the Algorithm 3 scan"
                 );
                 (**c).clone()
@@ -546,10 +555,9 @@ impl ExaLogLog {
         }
     }
 
-    /// The log-likelihood coefficients computed from scratch with the full
-    /// O(m·d) register scan of Algorithm 3, regardless of cache state.
-    /// This is the reference path the incremental cache is verified
-    /// against (and the baseline `bench_registers` measures).
+    /// The log-likelihood coefficients computed from scratch with one
+    /// [`ml::CoefficientScan`] pass over the registers, regardless of
+    /// cache state.
     #[must_use]
     pub fn coefficients_scan(&self) -> MlCoefficients {
         ml::compute_coefficients(&self.cfg, self.regs.iter())
@@ -563,7 +571,7 @@ impl ExaLogLog {
         self.coeffs.is_some()
     }
 
-    /// Rebuilds the coefficient cache with one Algorithm 3 scan, making
+    /// Rebuilds the coefficient cache with one coefficient scan, making
     /// subsequent [`ExaLogLog::estimate`] calls O(populated β levels)
     /// again after bulk raw-register surgery dropped the cache.
     pub fn refresh_coefficients(&mut self) {

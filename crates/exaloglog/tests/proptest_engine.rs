@@ -11,6 +11,7 @@
 //! suite (including the registry-driven `tests/trait_laws.rs` laws).
 
 use ell_hash::SplitMix64;
+use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::ml;
 use exaloglog::{EllConfig, ExaLogLog};
 use proptest::prelude::*;
@@ -36,6 +37,49 @@ fn configs() -> Vec<EllConfig> {
         EllConfig::new(3, 13, 5).unwrap(),         // width 22, generic
         EllConfig::new(2, 56, 3).unwrap(),         // width 64, u64 backend
     ]
+}
+
+/// Shapes for the coefficient-scan oracles: every scan path (value
+/// tally for ≤ 8-bit registers, aligned lanes for t ≤ 3, per-level walk
+/// for t ≥ 4) and atomic layouts whose last word is only partly used
+/// (10, 9, 7, 5 and 3 registers per word against m a power of two).
+fn scan_configs() -> Vec<EllConfig> {
+    vec![
+        EllConfig::hll(5).unwrap(),        // width 6, 10 per word, tallied
+        EllConfig::ehll(4).unwrap(),       // width 7, 9 per word, tallied
+        EllConfig::ull(6).unwrap(),        // width 8, tallied
+        EllConfig::new(0, 3, 5).unwrap(),  // width 9, 7 per word
+        EllConfig::new(1, 5, 4).unwrap(),  // width 12, 5 per word
+        EllConfig::new(2, 12, 5).unwrap(), // width 20, 3 per word
+        EllConfig::optimal(6).unwrap(),    // width 28
+        EllConfig::new(3, 13, 5).unwrap(), // width 22, t = 3
+        EllConfig::new(2, 56, 3).unwrap(), // width 64, widest aligned
+        EllConfig::new(4, 20, 3).unwrap(), // t = 4: per-level walk
+        EllConfig::new(5, 9, 4).unwrap(),  // t = 5
+        EllConfig::new(6, 52, 2).unwrap(), // t = 6, width 64
+    ]
+}
+
+/// A sketch driven by `n` direct register updates whose values cover the
+/// whole range: low values (registers with u ≤ d carry the sentinel
+/// bit), the top 2^t values (φ capped at 64 − p) and uniform ones.
+fn random_state(cfg: EllConfig, seed: u64, n: usize) -> ExaLogLog {
+    let mut rng = SplitMix64::new(seed);
+    let mut s = ExaLogLog::new(cfg);
+    let max = cfg.max_update_value();
+    let low = u64::from(cfg.d()) + 2;
+    let top = 1u64 << cfg.t();
+    for _ in 0..n {
+        let i = (rng.next_u64() as usize) & (cfg.m() - 1);
+        let x = rng.next_u64();
+        let k = match x % 3 {
+            0 => 1 + (x >> 2) % low.min(max),
+            1 => max - (x >> 2) % top.min(max),
+            _ => 1 + (x >> 2) % max,
+        };
+        s.apply_update(i, k);
+    }
+    s
 }
 
 #[derive(Debug, Clone)]
@@ -204,5 +248,83 @@ proptest! {
         prop_assert_eq!(by_extend.to_bytes(), by_loop.to_bytes());
         prop_assert!(by_extend.has_cached_coefficients());
         prop_assert_eq!(by_extend.coefficients(), by_extend.coefficients_scan());
+    }
+}
+
+proptest! {
+    // Cheap cases (m ≤ 64): enough of them to hit every register shape
+    // of every scan path, including φ-capped maxima and sentinels.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The streaming scan equals Algorithm 3's per-bit loop on random
+    /// states, whether it sees every register in order, only the
+    /// nonempty ones in reverse (the rest count as empty), or a sketch
+    /// whose cache was dropped.
+    #[test]
+    fn streaming_scan_equals_reference(
+        cfg_idx in 0usize..12,
+        seed in any::<u64>(),
+        n in 0usize..400,
+    ) {
+        let cfg = scan_configs()[cfg_idx];
+        let s = random_state(cfg, seed, n);
+        let reference = ml::coefficients_reference(&cfg, s.registers());
+        prop_assert_eq!(ml::compute_coefficients(&cfg, s.registers()), reference.clone());
+        prop_assert_eq!(s.coefficients_scan(), reference.clone());
+        let mut scan = ml::CoefficientScan::new(&cfg);
+        let nonempty: Vec<u64> = s.registers().filter(|&r| r != 0).collect();
+        scan.extend(nonempty.iter().rev().copied());
+        prop_assert_eq!(scan.finish(), reference.clone());
+        let restored = ExaLogLog::from_bytes(&s.to_bytes()).unwrap();
+        prop_assert_eq!(restored.coefficients(), reference);
+    }
+
+    /// The incremental path — `add_register`, `remove_register` and the
+    /// cache `apply_register_change` keeps through updates and merges —
+    /// equals the per-bit reference on random states, including merges
+    /// that move register maxima in both directions.
+    #[test]
+    fn incremental_path_equals_reference(
+        cfg_idx in 0usize..12,
+        seed in any::<u64>(),
+        na in 0usize..300,
+        nb in 0usize..300,
+    ) {
+        let cfg = scan_configs()[cfg_idx];
+        let mut a = random_state(cfg, seed, na);
+        let b = random_state(cfg, seed ^ 0x5EED, nb);
+        prop_assert!(a.has_cached_coefficients());
+        prop_assert_eq!(a.coefficients(), ml::coefficients_reference(&cfg, a.registers()));
+        a.merge_from(&b).unwrap();
+        let reference = ml::coefficients_reference(&cfg, a.registers());
+        prop_assert_eq!(a.coefficients(), reference.clone());
+        let mut folded = ml::empty_coefficients(0);
+        for r in a.registers() {
+            ml::add_register(&mut folded, &cfg, r);
+        }
+        prop_assert_eq!(folded.clone(), reference);
+        for r in a.registers() {
+            ml::remove_register(&mut folded, &cfg, r);
+        }
+        prop_assert_eq!(folded, ml::empty_coefficients(0));
+    }
+
+    /// The atomic word scan reads the packed words in place and agrees
+    /// with a snapshot to the bit: same coefficients as the reference,
+    /// same estimate as `snapshot().estimate()` and the sequential
+    /// sketch.
+    #[test]
+    fn atomic_word_scan_equals_snapshot(
+        cfg_idx in 0usize..12,
+        seed in any::<u64>(),
+        n in 0usize..400,
+    ) {
+        let cfg = scan_configs()[cfg_idx];
+        let s = random_state(cfg, seed, n);
+        let atomic = AtomicExaLogLog::from_sketch(&s);
+        prop_assert_eq!(atomic.coefficients(), ml::coefficients_reference(&cfg, s.registers()));
+        let estimate = atomic.estimate().to_bits();
+        prop_assert_eq!(estimate, atomic.snapshot().estimate().to_bits());
+        prop_assert_eq!(estimate, s.estimate().to_bits());
     }
 }
