@@ -37,8 +37,8 @@ For every file the script enforces, in order:
    ``scan_speedup_min`` — the worst speedup, over its configurations, of
    an estimate through the streaming ML coefficient scan against one
    through Algorithm 3's per-bit reference loop — and it must be
-   ``>= --min-scan-speedup`` (default 2.0). A registers report without
-   it is malformed and fails.
+   ``>= MIN_SCAN_SPEEDUP`` (2.0). A registers report without it is
+   malformed and fails.
 
 One summary line is printed per file; the exit status is non-zero if any
 check failed anywhere.
@@ -52,6 +52,9 @@ import sys
 INFORMATIONAL = {"unreliable"}
 
 MIN_PARALLELISM = 4
+
+# Worst-case coefficient-scan speedup over the per-bit reference loop.
+MIN_SCAN_SPEEDUP = 2.0
 
 
 def _number(data: dict, key: str, failures: list) -> float | None:
@@ -75,7 +78,6 @@ def check_file(
     min_warm_reduction: float,
     max_hot_ratio: float,
     min_kernel_speedup: float,
-    min_scan_speedup: float = 2.0,
 ) -> bool:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -200,15 +202,15 @@ def check_file(
                 failures.append(
                     "kernel_equivalence present but scan_speedup_min missing"
                 )
-        elif scan_min < min_scan_speedup:
+        elif scan_min < MIN_SCAN_SPEEDUP:
             failures.append(
                 f"scan_speedup_min {scan_min:.3f} is below "
-                f"the {min_scan_speedup:.2f} gate"
+                f"the {MIN_SCAN_SPEEDUP:.2f} gate"
             )
         else:
             scan_note = (
                 f"coefficient scan >= {scan_min:.2f}x reference "
-                f"(gate {min_scan_speedup:.2f})"
+                f"(gate {MIN_SCAN_SPEEDUP:.2f})"
             )
 
     name = data.get("bench", "?")
@@ -241,7 +243,6 @@ def main() -> int:
     parser.add_argument("--min-warm-reduction", type=float, default=2.0)
     parser.add_argument("--max-hot-ratio", type=float, default=1.10)
     parser.add_argument("--min-kernel-speedup", type=float, default=1.2)
-    parser.add_argument("--min-scan-speedup", type=float, default=2.0)
     opts = parser.parse_args()
     ok = True
     for path in opts.files:
@@ -251,7 +252,6 @@ def main() -> int:
             opts.min_warm_reduction,
             opts.max_hot_ratio,
             opts.min_kernel_speedup,
-            opts.min_scan_speedup,
         )
     return 0 if ok else 1
 

@@ -29,7 +29,6 @@ def run_check(payload, **kwargs):
         "min_warm_reduction": 2.0,
         "max_hot_ratio": 1.10,
         "min_kernel_speedup": 1.2,
-        "min_scan_speedup": 2.0,
     }
     defaults.update(kwargs)
     with tempfile.NamedTemporaryFile(
@@ -228,10 +227,6 @@ class ScanGateTests(unittest.TestCase):
         ok, out = run_check(self.base(scan_speedup_min=True))
         self.assertFalse(ok)
         self.assertIn("expected a number", out)
-
-    def test_scan_gate_threshold_is_configurable(self):
-        ok, _ = run_check(self.base(scan_speedup_min=1.4), min_scan_speedup=1.2)
-        self.assertTrue(ok)
 
     def test_other_benches_need_no_scan_speedup(self):
         ok, _ = run_check({"bench": "store", "equivalence": "ok"})

@@ -155,7 +155,7 @@ fn estimate_from(s: &ExaLogLog, coefficients: impl Fn(&ExaLogLog) -> ml::MlCoeff
     raw / (1.0 + bias_correction_c(cfg.t(), cfg.d()) / m)
 }
 
-/// The one-pass streaming scan (`ml::CoefficientScan`).
+/// The one-pass streaming scan (`ml::compute_coefficients`).
 fn estimate_by_scan(s: &ExaLogLog) -> f64 {
     estimate_from(s, ExaLogLog::coefficients_scan)
 }

@@ -349,24 +349,10 @@ impl PackedArray {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         match self.backend {
             Backend::W8 => u64::from(self.bits[i]),
-            Backend::W16 => {
-                let b = &self.bits[2 * i..2 * i + 2];
-                u64::from(u16::from_le_bytes([b[0], b[1]]))
-            }
-            Backend::W24 => {
-                let b = &self.bits[3 * i..3 * i + 3];
-                u64::from(b[0]) | u64::from(b[1]) << 8 | u64::from(b[2]) << 16
-            }
-            Backend::W32 => {
-                let b = &self.bits[4 * i..4 * i + 4];
-                u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            }
-            Backend::W64 => {
-                let b: [u8; 8] = self.bits[8 * i..8 * i + 8]
-                    .try_into()
-                    .expect("8-byte field slice");
-                u64::from_le_bytes(b)
-            }
+            Backend::W16 => le_field::<2>(&self.bits[2 * i..]),
+            Backend::W24 => le_field::<3>(&self.bits[3 * i..]),
+            Backend::W32 => le_field::<4>(&self.bits[4 * i..]),
+            Backend::W64 => le_field::<8>(&self.bits[8 * i..]),
             Backend::Generic => self.get_generic(i),
         }
     }
@@ -646,6 +632,15 @@ enum PackedIterInner<'a> {
     Generic { arr: &'a PackedArray, next: usize },
 }
 
+/// Decodes the `N`-byte little-endian field at the start of `bytes`
+/// (the byte-aligned backends: `N` ∈ {2, 3, 4, 8}).
+#[inline(always)]
+fn le_field<const N: usize>(bytes: &[u8]) -> u64 {
+    let mut buf = [0u8; 8];
+    buf[..N].copy_from_slice(&bytes[..N]);
+    u64::from_le_bytes(buf)
+}
+
 impl Iterator for PackedIter<'_> {
     type Item = u64;
 
@@ -653,18 +648,10 @@ impl Iterator for PackedIter<'_> {
     fn next(&mut self) -> Option<u64> {
         match &mut self.0 {
             PackedIterInner::W8(it) => it.next().map(|&b| u64::from(b)),
-            PackedIterInner::W16(it) => it
-                .next()
-                .map(|c| u64::from(u16::from_le_bytes([c[0], c[1]]))),
-            PackedIterInner::W24(it) => it
-                .next()
-                .map(|c| u64::from(c[0]) | u64::from(c[1]) << 8 | u64::from(c[2]) << 16),
-            PackedIterInner::W32(it) => it
-                .next()
-                .map(|c| u64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
-            PackedIterInner::W64(it) => it
-                .next()
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+            PackedIterInner::W16(it) => it.next().map(le_field::<2>),
+            PackedIterInner::W24(it) => it.next().map(le_field::<3>),
+            PackedIterInner::W32(it) => it.next().map(le_field::<4>),
+            PackedIterInner::W64(it) => it.next().map(le_field::<8>),
             PackedIterInner::Generic { arr, next } => {
                 if *next < arr.len {
                     let v = arr.get_generic(*next);
@@ -681,44 +668,17 @@ impl Iterator for PackedIter<'_> {
     /// once and then runs one tight loop, instead of re-dispatching on
     /// every `next`.
     #[inline]
-    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, mut f: F) -> B {
-        let mut acc = init;
+    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, f: F) -> B {
         match self.0 {
-            PackedIterInner::W8(it) => {
-                for &b in it {
-                    acc = f(acc, u64::from(b));
-                }
-            }
-            PackedIterInner::W16(it) => {
-                for c in it {
-                    acc = f(acc, u64::from(u16::from_le_bytes([c[0], c[1]])));
-                }
-            }
-            PackedIterInner::W24(it) => {
-                for c in it {
-                    acc = f(
-                        acc,
-                        u64::from(c[0]) | u64::from(c[1]) << 8 | u64::from(c[2]) << 16,
-                    );
-                }
-            }
-            PackedIterInner::W32(it) => {
-                for c in it {
-                    acc = f(acc, u64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-                }
-            }
-            PackedIterInner::W64(it) => {
-                for c in it {
-                    acc = f(acc, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-                }
-            }
+            PackedIterInner::W8(it) => it.map(|&b| u64::from(b)).fold(init, f),
+            PackedIterInner::W16(it) => it.map(le_field::<2>).fold(init, f),
+            PackedIterInner::W24(it) => it.map(le_field::<3>).fold(init, f),
+            PackedIterInner::W32(it) => it.map(le_field::<4>).fold(init, f),
+            PackedIterInner::W64(it) => it.map(le_field::<8>).fold(init, f),
             PackedIterInner::Generic { arr, next } => {
-                for i in next..arr.len {
-                    acc = f(acc, arr.get_generic(i));
-                }
+                (next..arr.len).map(|i| arr.get_generic(i)).fold(init, f)
             }
         }
-        acc
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -173,8 +173,8 @@ impl AtomicExaLogLog {
     }
 
     /// The log-likelihood coefficients (α, β) of the current registers,
-    /// read straight from the packed atomic words by one
-    /// [`ml::CoefficientScan`] pass — no [`ExaLogLog`] snapshot is
+    /// read straight from the packed atomic words by the streaming scan
+    /// behind [`ml::compute_coefficients`] — no [`ExaLogLog`] snapshot is
     /// allocated. Zero words count as empty registers in bulk; padding
     /// lanes are never visited.
     ///

@@ -556,8 +556,8 @@ impl ExaLogLog {
     }
 
     /// The log-likelihood coefficients computed from scratch with one
-    /// [`ml::CoefficientScan`] pass over the registers, regardless of
-    /// cache state.
+    /// [`ml::compute_coefficients`] pass over the registers, regardless
+    /// of cache state.
     #[must_use]
     pub fn coefficients_scan(&self) -> MlCoefficients {
         ml::compute_coefficients(&self.cfg, self.regs.iter())
