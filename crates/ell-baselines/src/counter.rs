@@ -210,8 +210,8 @@ impl DistinctCounter for Pcsa {
         Pcsa::memory_bytes(self) * 8
     }
     fn serialized_bytes(&self) -> usize {
-        // The CPC-style range-coded serialization (see `cpc` module and
-        // DESIGN.md §3) — actually encoded, not the analytic entropy.
+        // The CPC-style range-coded serialization (see the `cpc` module)
+        // — actually encoded, not the analytic entropy.
         crate::cpc::compressed_size(self)
     }
     fn constant_time_insert(&self) -> bool {

@@ -10,7 +10,7 @@
 //! | [`HyperLogLog4`] | DataSketches HLL 4-bit | global offset + exception map; non-constant insert |
 //! | [`Ull`] | hash4j ULL | UltraLogLog, one byte per register; §2.5 equivalence to ELL(0,2) tested |
 //! | [`Ehll`] | related work §1.1 | ExtendedHyperLogLog, 7-bit registers; §2.5 equivalence to ELL(0,1) tested |
-//! | [`Pcsa`] | CPC | FM85 bitmaps; ML estimation via the ELL solver; [`cpc`] range-codes the state for the serialized column (DESIGN.md §3) |
+//! | [`Pcsa`] | CPC | FM85 bitmaps; ML estimation via the ELL solver; [`cpc`] range-codes the state for the serialized column |
 //! | [`SparseHyperLogLog`] | DataSketches sparse mode | coupon-list HLL reproducing Figure 10's small-n memory curve |
 //! | [`HyperMinHash`] | related work §2.5 | min-hash ordering of ELL(t,0); adds Jaccard/intersection estimation |
 //! | [`HyperLogLogLog`] | HLLL | 3-bit registers + offset + exception list; re-base sweeps |

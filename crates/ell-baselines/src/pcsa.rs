@@ -16,8 +16,8 @@
 //! * [`Pcsa::ideal_compressed_bits`] measures the ideal entropy-coded
 //!   size of the state under its own fitted model. This is the stand-in
 //!   for the Apache DataSketches CPC sketch of Table 2, whose serialized
-//!   form is (in essence) an entropy-coded PCSA — see DESIGN.md §3 for
-//!   the substitution rationale.
+//!   form is (in essence) an entropy-coded PCSA, so PCSA plus an
+//!   entropy coder measures what CPC measures.
 
 use ell_bitpack::mask;
 use exaloglog::ml::{solve_ml_equation, MAX_EXPONENT};

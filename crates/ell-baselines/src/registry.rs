@@ -16,10 +16,7 @@ use crate::ull::Ull;
 use crate::Ehll;
 use ell_core::{Sketch, SketchError};
 use exaloglog::atomic::AtomicExaLogLog;
-use exaloglog::{
-    AdaptiveExaLogLog, EllConfig, EllT1D9, EllT2D16, EllT2D20, EllT2D24, ExaLogLog,
-    MartingaleExaLogLog, SparseExaLogLog,
-};
+use exaloglog::{AdaptiveExaLogLog, EllConfig, ExaLogLog, MartingaleExaLogLog, SparseExaLogLog};
 
 /// All algorithm names [`build_sketch`] resolves, in display order.
 pub const ALGORITHMS: &[&str] = &[
@@ -67,10 +64,10 @@ pub fn build_sketch(algo: &str, p: u8) -> Result<Box<dyn Sketch>, SketchError> {
         "ell-sparse" => Box::new(SparseExaLogLog::new(EllConfig::optimal(p)?)?),
         "adaptive" => Box::new(AdaptiveExaLogLog::new(EllConfig::optimal(p)?)?),
         "ell-atomic" => Box::new(AtomicExaLogLog::new(EllConfig::aligned32(p)?)),
-        "ell-t2d20" => Box::new(EllT2D20::new(p)?),
-        "ell-t2d24" => Box::new(EllT2D24::new(p)?),
-        "ell-t2d16" => Box::new(EllT2D16::new(p)?),
-        "ell-t1d9" => Box::new(EllT1D9::new(p)?),
+        "ell-t2d20" => Box::new(ExaLogLog::new(EllConfig::optimal(p)?)),
+        "ell-t2d24" => Box::new(ExaLogLog::new(EllConfig::aligned32(p)?)),
+        "ell-t2d16" => Box::new(ExaLogLog::new(EllConfig::martingale_optimal(p)?)),
+        "ell-t1d9" => Box::new(ExaLogLog::new(EllConfig::aligned16(p)?)),
         "hll6" => Box::new(HyperLogLog::new(p, 6, HllEstimator::Improved)),
         "hll8" => Box::new(HyperLogLog::new(p, 8, HllEstimator::Improved)),
         "hll4" => Box::new(HyperLogLog4::new(p)),
@@ -106,6 +103,20 @@ mod tests {
             let rel = est / 20_000.0 - 1.0;
             assert!(rel.abs() < 0.2, "{algo}: estimate {est} off by {rel:+.3}");
             assert!(!sketch.to_bytes().is_empty(), "{algo}");
+        }
+    }
+
+    #[test]
+    fn paper_width_names_build_dense_sketches_at_their_configuration() {
+        let p = 9;
+        for (algo, t, d) in [
+            ("ell-t2d20", 2, 20),
+            ("ell-t2d24", 2, 24),
+            ("ell-t2d16", 2, 16),
+            ("ell-t1d9", 1, 9),
+        ] {
+            let bytes = build_sketch(algo, p).expect(algo).to_bytes();
+            assert_eq!(&bytes[..7], &[b'E', b'L', b'L', b'1', t, d, p], "{algo}");
         }
     }
 

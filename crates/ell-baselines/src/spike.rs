@@ -2,9 +2,10 @@
 //!
 //! SpikeSketch (Du et al., INFOCOM 2023) is compared in the paper's
 //! Table 2 and Figure 10, but its description lives in a separate paper
-//! that is not available in this offline reproduction. Following the
-//! substitution rule of DESIGN.md §3, this module implements a sketch
-//! with the *properties the ExaLogLog paper attributes to SpikeSketch*:
+//! that is not available in this offline reproduction. A compared
+//! sketch whose own description is unavailable is replaced by one with
+//! the properties the ExaLogLog paper attributes to it, so this module
+//! implements a sketch with *SpikeSketch's stated properties*:
 //!
 //! * bucketed, constant-time, mergeable, idempotent inserts;
 //! * ≈1 KiB of state at ~2.3 % error (128 buckets of 64 + 8 bits);

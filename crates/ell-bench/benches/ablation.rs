@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the paper's main design choices:
 //!
 //! * **Register alignment** — §2.4 argues ELL(2,24)'s 32-bit registers
 //!   allow "very fast register access" versus the space-optimal 28-bit
@@ -11,14 +11,11 @@
 //!   coefficient pass).
 //! * **Hash functions** — the substrate choice: WyHash vs XXH64 vs
 //!   Murmur3 on the 16-byte keys the paper benches with.
-//! * **Hardcoded parameters** — §5.3 remarks that hardcoding (t, d)
-//!   "could potentially further improve performance": measure the
-//!   `exaloglog::specialized` fast paths against the generic sketch.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ell_bench::{elements, hashes};
 use ell_hash::{Hasher64, Murmur3_128, WyHash, Xxh64};
-use exaloglog::{EllConfig, EllT1D9, EllT2D16, EllT2D20, EllT2D24, ExaLogLog, MartingaleExaLogLog};
+use exaloglog::{EllConfig, ExaLogLog, MartingaleExaLogLog};
 use std::hint::black_box;
 
 const N: usize = 100_000;
@@ -125,47 +122,11 @@ fn hash_functions(c: &mut Criterion) {
     group.finish();
 }
 
-fn specialized_vs_generic(c: &mut Criterion) {
-    let input = hashes(N, 11);
-    let mut group = c.benchmark_group("ablation/specialized_insert");
-    group.throughput(Throughput::Elements(N as u64));
-
-    macro_rules! pair {
-        ($label:literal, $ty:ty, $t:literal, $d:literal) => {
-            group.bench_function(concat!($label, " generic"), |b| {
-                b.iter(|| {
-                    let mut s = ExaLogLog::with_params($t, $d, 8).expect("valid");
-                    for &h in &input {
-                        s.insert_hash(h);
-                    }
-                    black_box(s)
-                });
-            });
-            group.bench_function(concat!($label, " hardcoded"), |b| {
-                b.iter(|| {
-                    let mut s = <$ty>::new(8).expect("valid");
-                    for &h in &input {
-                        s.insert_hash(h);
-                    }
-                    black_box(s)
-                });
-            });
-        };
-    }
-
-    pair!("ELL(2,20)", EllT2D20, 2, 20);
-    pair!("ELL(2,24)", EllT2D24, 2, 24);
-    pair!("ELL(2,16)", EllT2D16, 2, 16);
-    pair!("ELL(1,9)", EllT1D9, 1, 9);
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = register_width_ablation, martingale_overhead, ml_estimation_cost, hash_functions,
-        specialized_vs_generic
+    targets = register_width_ablation, martingale_overhead, ml_estimation_cost, hash_functions
 }
 criterion_main!(benches);

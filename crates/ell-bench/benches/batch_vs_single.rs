@@ -2,8 +2,8 @@
 //!
 //! Measures the payoff of `DistinctCounter::insert_hashes` — the unrolled
 //! decompose-then-update hot path — against one-hash-at-a-time insertion,
-//! for the generic sketch, the hardcoded specializations, and a baseline
-//! that only has the default batch loop (the trait-contract control).
+//! for the dense sketch and for a baseline that only has the default
+//! batch loop (the trait-contract control).
 //! The machine-readable companion is the `bench_insert` binary, which
 //! writes `BENCH_insert.json`.
 
@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use ell_baselines::Ull;
 use ell_bench::hashes;
 use ell_core::DistinctCounter;
-use exaloglog::{EllConfig, EllT2D16, EllT2D20, EllT2D24, ExaLogLog};
+use exaloglog::{EllConfig, ExaLogLog};
 
 const N: usize = 100_000;
 
@@ -49,17 +49,8 @@ where
 }
 
 fn batch_vs_single(c: &mut Criterion) {
-    bench_type(c, "ELL(2,20,p=12,generic)", || {
+    bench_type(c, "ELL(2,20,p=12)", || {
         ExaLogLog::new(EllConfig::optimal(12).expect("valid"))
-    });
-    bench_type(c, "ELL(2,20,p=12,hardcoded)", || {
-        EllT2D20::new(12).expect("valid")
-    });
-    bench_type(c, "ELL(2,24,p=12,hardcoded)", || {
-        EllT2D24::new(12).expect("valid")
-    });
-    bench_type(c, "ELL(2,16,p=12,hardcoded)", || {
-        EllT2D16::new(12).expect("valid")
     });
     // Control: a type with only the default batch loop — batch and single
     // should time identically, proving the harness measures the path,

@@ -261,23 +261,36 @@ fn bench_kernel_shape(
         }
     }
 
+    // Steady state: each kernel's accumulator already contains the
+    // union, so every merge is scan-only. The kernels are interleaved:
+    // each rep times every kernel once, rotating the order from rep to
+    // rep, so load drift on a shared machine lands on all kernels alike.
+    // Each kernel keeps its minimum over reps, the least
+    // noise-contaminated estimate, since the speedup gate needs
+    // run-to-run stability.
+    let available = kernels::available();
+    let mut accs: Vec<ExaLogLog> = available.iter().map(|_| scalar_merged.clone()).collect();
+    let mut best_secs = vec![f64::INFINITY; available.len()];
+    for rep in 0..reps.max(5) {
+        for i in 0..available.len() {
+            let k = (rep + i) % available.len();
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                accs[k]
+                    .merge_from_with_kernel(incoming, available[k])
+                    .unwrap();
+                std::hint::black_box(&accs[k]);
+            }
+            best_secs[k] = best_secs[k].min(t0.elapsed().as_secs_f64());
+        }
+    }
+
     let per_op = 1e9 / iters as f64;
     let mut fields = Vec::new();
     let mut swar_speedup = f64::NAN;
     let mut scalar_ns = f64::NAN;
-    for kernel in kernels::available() {
-        // Steady state: after the first merge the accumulator already
-        // contains the union, so every further merge is scan-only.
-        // Minimum over reps, not median: on a busy single-core machine
-        // the minimum is the least noise-contaminated estimate, and the
-        // speedup gate needs run-to-run stability.
-        let mut acc = scalar_merged.clone();
-        let ns = min_secs(reps.max(5), || {
-            for _ in 0..iters {
-                acc.merge_from_with_kernel(incoming, kernel).unwrap();
-                std::hint::black_box(&acc);
-            }
-        }) * per_op;
+    for (&kernel, secs) in available.iter().zip(best_secs) {
+        let ns = secs * per_op;
         let name = kernel.name();
         fields.push(format!("\"{name}_ns\": {ns:.1}"));
         match kernel {

@@ -1,8 +1,8 @@
 //! Shared fixtures for the criterion benchmarks.
 //!
 //! The benches in `benches/` regenerate Figure 11's operation timings
-//! (`fig11_operations`) and add ablation measurements for the design
-//! choices DESIGN.md calls out (`ablation`): register-width alignment,
+//! (`fig11_operations`) and add ablation measurements for the paper's
+//! main design choices (`ablation`): register-width alignment,
 //! the cost of martingale bookkeeping, and Newton-solver convergence.
 
 #![forbid(unsafe_code)]

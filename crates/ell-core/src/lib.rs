@@ -1,7 +1,7 @@
 //! Common abstraction over every distinct-count sketch in the workspace.
 //!
 //! The paper's experiments (§5) evaluate a whole family of estimators —
-//! ExaLogLog and its specialized/sparse/concurrent variants plus eight
+//! ExaLogLog and its sparse/martingale/concurrent variants plus eight
 //! baselines — under one methodology. This crate is the seam that makes
 //! that possible without per-type driver loops: every sketch implements
 //! [`DistinctCounter`], and dynamic consumers (the `ell` CLI, the Table 2

@@ -10,11 +10,13 @@
 //! precision — enough to confirm the ordering (use `--full` or
 //! `ELL_REPRO_RUNS` for more).
 //!
-//! Substitutions (DESIGN.md §3): the CPC row is PCSA with ideal
-//! entropy-coded serialization; the SpikeSketch row is a documented
-//! lookalike. Expected shape: ELL(2,20,p=8) and ELL(2,24,p=8) at the
-//! bottom (best), HLL 8-bit at the top, CPC with the smallest serialized
-//! MVP, conjectured lower bound 1.98.
+//! Substitutions (a compared sketch whose source is unavailable offline
+//! is replaced by one with the properties the paper attributes to it):
+//! the CPC row is PCSA with ideal entropy-coded serialization; the
+//! SpikeSketch row is a documented lookalike. Expected shape:
+//! ELL(2,20,p=8) and ELL(2,24,p=8) at the bottom (best), HLL 8-bit at
+//! the top, CPC with the smallest serialized MVP, conjectured lower
+//! bound 1.98.
 
 use ell_baselines::table2_lineup;
 use ell_hash::{mix64, SplitMix64};

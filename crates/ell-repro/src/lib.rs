@@ -1,5 +1,6 @@
 //! Shared infrastructure for the per-figure/per-table reproduction
-//! binaries (see DESIGN.md §2 for the experiment index).
+//! binaries: one `figN_*`/`table2_*` binary per paper figure or table,
+//! plus `ext_*` binaries for experiments beyond the paper.
 //!
 //! Every binary follows the same conventions:
 //!

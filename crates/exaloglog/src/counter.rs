@@ -3,9 +3,9 @@
 //! layer (`ell-core`).
 //!
 //! The generic [`ExaLogLog`], the martingale-tracked sketch, the sparse
-//! and specialized variants, and [`TokenSet`] route `insert_hashes` to
-//! their unrolled batch hot paths; the others inherit the trait's
-//! default loop. All implementations keep
+//! variant, and [`TokenSet`] route `insert_hashes` to their unrolled
+//! batch hot paths; the others inherit the trait's default loop. All
+//! implementations keep
 //! the batch-equivalence guarantee documented in `ell-core` — the
 //! cross-implementation property tests at the workspace root
 //! (`tests/trait_laws.rs`) compare serialized states to enforce it.
@@ -15,7 +15,6 @@ use crate::atomic::AtomicExaLogLog;
 use crate::martingale::{MartingaleEstimator, MartingaleExaLogLog};
 use crate::sketch::ExaLogLog;
 use crate::sparse::SparseExaLogLog;
-use crate::specialized::{EllT1D9, EllT2D16, EllT2D20, EllT2D24};
 use crate::token::TokenSet;
 use ell_core::{DistinctCounter, SketchError};
 
@@ -245,53 +244,6 @@ impl DistinctCounter for TokenSet {
     }
 }
 
-/// Implements [`DistinctCounter`] for a hardcoded specialized sketch by
-/// converting through the bit-identical dense representation for the
-/// serialization surface.
-macro_rules! specialized_counter {
-    ($ty:ident, $t:literal, $d:literal) => {
-        impl DistinctCounter for $ty {
-            fn name(&self) -> String {
-                format!("ELL(t={},d={},p={},hardcoded)", $t, $d, self.config().p())
-            }
-            fn insert_hash(&mut self, h: u64) {
-                $ty::insert_hash(self, h);
-            }
-            fn insert_hashes(&mut self, hashes: &[u64]) {
-                $ty::insert_hashes(self, hashes);
-            }
-            fn estimate(&self) -> f64 {
-                $ty::estimate(self)
-            }
-            fn merge_from(&mut self, other: &Self) -> Result<(), SketchError> {
-                $ty::merge_from(self, other).map_err(Into::into)
-            }
-            fn to_bytes(&self) -> Vec<u8> {
-                self.to_dense().to_bytes()
-            }
-            fn from_bytes(bytes: &[u8]) -> Result<Self, SketchError> {
-                let dense = ExaLogLog::from_bytes(bytes).map_err(SketchError::from)?;
-                $ty::from_dense(&dense).map_err(Into::into)
-            }
-            fn memory_bits(&self) -> usize {
-                $ty::memory_bytes(self) * 8
-            }
-            fn serialized_bytes(&self) -> usize {
-                // Wire format is the dense register array (plus header).
-                self.config().register_array_bytes()
-            }
-            fn constant_time_insert(&self) -> bool {
-                true
-            }
-        }
-    };
-}
-
-specialized_counter!(EllT2D20, 2, 20);
-specialized_counter!(EllT2D24, 2, 24);
-specialized_counter!(EllT2D16, 2, 16);
-specialized_counter!(EllT1D9, 1, 9);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,10 +267,6 @@ mod tests {
             Box::new(AdaptiveExaLogLog::new(cfg).unwrap()),
             Box::new(AtomicExaLogLog::new(cfg)),
             Box::new(TokenSet::new(26).unwrap()),
-            Box::new(EllT2D20::new(8).unwrap()),
-            Box::new(EllT2D24::new(8).unwrap()),
-            Box::new(EllT2D16::new(8).unwrap()),
-            Box::new(EllT1D9::new(8).unwrap()),
         ]
     }
 
@@ -387,22 +335,5 @@ mod tests {
         let wide = ExaLogLog::with_params(2, 28, 4).unwrap();
         let wide_back = <AtomicExaLogLog as DistinctCounter>::from_bytes(&wide.to_bytes()).unwrap();
         assert_eq!(wide_back.snapshot(), wide);
-    }
-
-    #[test]
-    fn specialized_roundtrip_is_dense_compatible() {
-        let mut fast = EllT2D20::new(6).unwrap();
-        let mut dense = ExaLogLog::with_params(2, 20, 6).unwrap();
-        for &h in &stream(7, 4000) {
-            fast.insert_hash(h);
-            dense.insert_hash(h);
-        }
-        // Same wire format in both directions.
-        assert_eq!(DistinctCounter::to_bytes(&fast), dense.to_bytes());
-        let back = <EllT2D20 as DistinctCounter>::from_bytes(&dense.to_bytes()).unwrap();
-        assert_eq!(back, fast);
-        // Wrong (t, d) is rejected.
-        let other = ExaLogLog::with_params(2, 16, 6).unwrap();
-        assert!(<EllT2D20 as DistinctCounter>::from_bytes(&other.to_bytes()).is_err());
     }
 }

@@ -40,8 +40,7 @@
 //! | [`adaptive`] | §4.3 | adaptive lifecycle enum that unwraps to dense at promotion |
 //! | [`theory`] | §2.1, §2.4 | MVP formulas (3)(5)(6)(7), bias correction (4) |
 //! | [`compress`] | §6 (future work) | entropy-coded serialization approaching the Figure 6 optimum |
-//! | [`atomic`] | §2.4 | lock-free concurrent sketch for ≤32-bit registers (CAS updates) |
-//! | [`specialized`] | §5.3 remark | hardcoded (t, d) fast paths for the four highlighted configurations |
+//! | [`atomic`] | §2.4 | lock-free concurrent sketch, any register width packed into `AtomicU64` words (CAS updates) |
 //! | [`counter`] | §5 methodology | `ell-core` trait implementations for every sketch type in this crate |
 //!
 //! ## Relationship to other sketches (paper §2.5)
@@ -67,7 +66,6 @@ pub mod pmf;
 pub mod registers;
 pub mod sketch;
 pub mod sparse;
-pub mod specialized;
 #[doc(hidden)]
 pub mod sync;
 pub mod theory;
@@ -80,7 +78,6 @@ pub use ell_core::{DistinctCounter, Sketch, SketchError};
 pub use martingale::{MartingaleEstimator, MartingaleExaLogLog};
 pub use sketch::{ExaLogLog, RegisterChange};
 pub use sparse::SparseExaLogLog;
-pub use specialized::{EllT1D9, EllT2D16, EllT2D20, EllT2D24, SpecializedMartingale};
 pub use token::TokenSet;
 
 #[cfg(test)]

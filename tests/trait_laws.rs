@@ -22,8 +22,7 @@ use ell::ell_core::{DistinctCounter, SketchError};
 use ell::ell_hash::SplitMix64;
 use ell::exaloglog::atomic::AtomicExaLogLog;
 use ell::exaloglog::{
-    AdaptiveExaLogLog, EllConfig, EllT1D9, EllT2D16, EllT2D20, EllT2D24, ExaLogLog,
-    MartingaleExaLogLog, SparseExaLogLog, TokenSet,
+    AdaptiveExaLogLog, EllConfig, ExaLogLog, MartingaleExaLogLog, SparseExaLogLog, TokenSet,
 };
 use proptest::prelude::*;
 
@@ -124,11 +123,16 @@ proptest! {
         p in 4u8..11,
     ) {
         let hashes = hash_stream(seed, n);
+        // The four §2.4 register widths: 28 bits (generic backend) and
+        // the u32, u24 and u16 storage backends.
         batch_equivalence(|| ExaLogLog::new(EllConfig::optimal(p).unwrap()), &hashes, chunk)?;
-        batch_equivalence(|| EllT2D20::new(p).unwrap(), &hashes, chunk)?;
-        batch_equivalence(|| EllT2D24::new(p).unwrap(), &hashes, chunk)?;
-        batch_equivalence(|| EllT2D16::new(p).unwrap(), &hashes, chunk)?;
-        batch_equivalence(|| EllT1D9::new(p).unwrap(), &hashes, chunk)?;
+        batch_equivalence(|| ExaLogLog::new(EllConfig::aligned32(p).unwrap()), &hashes, chunk)?;
+        batch_equivalence(
+            || ExaLogLog::new(EllConfig::martingale_optimal(p).unwrap()),
+            &hashes,
+            chunk,
+        )?;
+        batch_equivalence(|| ExaLogLog::new(EllConfig::aligned16(p).unwrap()), &hashes, chunk)?;
         batch_equivalence(
             || SparseExaLogLog::new(EllConfig::optimal(p).unwrap()).unwrap(),
             &hashes,
@@ -168,10 +172,9 @@ proptest! {
             &ha,
             &hb,
         )?;
-        merge_laws(|| EllT2D20::new(p).unwrap(), &ha, &hb)?;
-        merge_laws(|| EllT2D24::new(p).unwrap(), &ha, &hb)?;
-        merge_laws(|| EllT2D16::new(p).unwrap(), &ha, &hb)?;
-        merge_laws(|| EllT1D9::new(p).unwrap(), &ha, &hb)?;
+        merge_laws(|| ExaLogLog::new(EllConfig::aligned32(p).unwrap()), &ha, &hb)?;
+        merge_laws(|| ExaLogLog::new(EllConfig::martingale_optimal(p).unwrap()), &ha, &hb)?;
+        merge_laws(|| ExaLogLog::new(EllConfig::aligned16(p).unwrap()), &ha, &hb)?;
         merge_laws(|| TokenSet::new(26).unwrap(), &ha, &hb)?;
         // Baselines.
         merge_laws(|| HyperLogLog::new(p, 6, HllEstimator::Improved), &ha, &hb)?;
